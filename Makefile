@@ -5,8 +5,8 @@
 GO ?= go
 
 .PHONY: all build test race bench bench-smoke bench-json bench-trajectory \
-	cross-checks fuzz-smoke recovery-smoke obs-smoke govulncheck staticcheck \
-	fmt fmt-check vet ci
+	cross-checks fuzz-smoke recovery-smoke obs-smoke perfbench-check \
+	govulncheck staticcheck fmt fmt-check vet ci
 
 all: build test
 
@@ -29,14 +29,15 @@ BENCH_LOAD_FLAGS ?= -load -clients 2 -duration 1s -nodes 300 -edges 1200 -class 
 
 # One-iteration smoke run: proves every benchmark still compiles and runs,
 # plus short load-generator iterations — edge churn, node-op churn with a
-# forced live rebalance (also exercising the JSON report path) — against
-# an in-process deployment.
+# forced live rebalance (also exercising the JSON report path), and one
+# straggler site so early-terminated rounds run — against an in-process
+# deployment.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -churn 5
 	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -churn 20 -nodechurn -rebalance 300ms -json /tmp/bench-smoke.json
 	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -churn 20 -index -json /tmp/bench-smoke-index.json
-	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -anytime -sitedelay 0,0,0,20ms -json /tmp/bench-smoke-anytime.json
+	$(GO) run ./cmd/bench $(BENCH_LOAD_FLAGS) -sitedelay 0,0,0,20ms -json /tmp/bench-smoke-anytime.json
 	$(MAKE) obs-smoke
 
 # Observability smoke: boot the built binaries (self-contained gateway,
@@ -50,7 +51,7 @@ obs-smoke:
 
 # The pinned bench-trajectory run: open loop on the checked-in SNAP sample
 # at a fixed offered rate, seed and duration, with the reachability index
-# enabled (and the anytime protocol, its default), emitting a
+# enabled, emitting a
 # schema-versioned report. This exact configuration produced the committed
 # BENCH_PR9.json baseline; refresh it with
 # `make bench-json BENCH_JSON_OUT=BENCH_PR9.json`.
@@ -99,7 +100,7 @@ recovery-smoke:
 # `make race` too; the explicit run guards against cached passes).
 cross-checks:
 	$(GO) test -race -run 'TestBatchWireCrossCheck|TestBatchLifecycleNoLeak' -count 1 ./internal/netsite
-	$(GO) test -race -run 'TestAnytimeCrossCheck|TestAnytimePendingNoLeak' -count 1 ./internal/netsite
+	$(GO) test -race -run 'TestAnytimeCrossCheck|TestAnytimePendingNoLeak|TestOneFramePerSitePerRound' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestUpdateWireCrossCheck|TestUpdateConcurrentWithQueries' -count 1 ./internal/netsite
 	$(GO) test -race -run 'TestIndexChurnCrossCheck|TestFragmentIndexMatchesDirect' -count 1 ./internal/netsite ./internal/core
 	$(GO) test -cpu 1,2,4 -count 1 ./internal/reachindex
@@ -107,6 +108,12 @@ cross-checks:
 	$(GO) test -race -run 'TestGroupCommitCoalesces|TestSnapshotIndex|TestSnapshotRecoverWarm' -count 1 ./internal/oplog
 	$(GO) test -race -run 'TestNodeOpsWireCrossCheck|TestNodeMutationCrossCheck|TestRebalanceEpochRace|TestRebalanceRestoresBalance' -count 1 ./internal/netsite ./internal/fragment
 	$(GO) test -race -run 'TestTraceCrossCheck|TestWireAccounting' -count 1 ./internal/netsite
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# `go test ./...` never builds it: vet and test it here, so an API change
+# that breaks the benchmark fails CI.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Static analysis beyond go vet. Downloads the tool on first run.
 staticcheck:
@@ -127,4 +134,4 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-ci: build vet fmt-check race cross-checks recovery-smoke bench-smoke staticcheck fuzz-smoke
+ci: build vet fmt-check race cross-checks recovery-smoke bench-smoke perfbench-check staticcheck fuzz-smoke

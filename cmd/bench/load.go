@@ -47,7 +47,6 @@ type loadConfig struct {
 	rebalance time.Duration // force a live re-fragmentation at this interval; 0 = never
 	siteDelay string        // comma-separated per-site service delays, cycled over sites
 	delays    []time.Duration
-	anytime   bool    // anytime answers: streamed partials + early termination (wire mode)
 	rate      float64 // offered arrivals per second; 0 = closed loop
 	arrival   string  // open loop schedule: poisson | uniform
 	jsonPath  string  // non-empty: write a schema-versioned report here
@@ -270,8 +269,8 @@ func runLoad(cfg loadConfig) error {
 	var anyr *anytimeReport
 	if anyRep != nil {
 		anyr = anyRep(len(all))
-		fmt.Printf("anytime     enabled %v: %d early terminations (%.0f%% of rounds), %d cancels, %d partial frames\n",
-			anyr.Enabled, anyr.EarlyTerminations, 100*anyr.EarlyTermRate, anyr.CancelsSent, anyr.PartialFrames)
+		fmt.Printf("anytime     enabled %v: %d early terminations (%.0f%% of rounds), %d cancels\n",
+			anyr.Enabled, anyr.EarlyTerminations, 100*anyr.EarlyTermRate, anyr.CancelsSent)
 	}
 	var idxr *indexReport
 	if idxRep != nil {
@@ -299,7 +298,6 @@ func runLoad(cfg loadConfig) error {
 				RebalanceMS: cfg.rebalance.Milliseconds(),
 				RatePerSec:  cfg.rate,
 				Arrival:     cfg.arrival,
-				Anytime:     cfg.anytime,
 				SiteDelay:   cfg.siteDelay,
 				Snap:        cfg.snap,
 				URL:         cfg.url,
@@ -487,7 +485,6 @@ func wireIssuer(cfg *loadConfig, maxLag *atomic.Uint64, wireBytes *atomic.Int64,
 		}
 		return nil, nil, nil, nil, nil, nil, err
 	}
-	co.SetAnytime(cfg.anytime)
 	var idxRep func() *indexReport
 	if cfg.index {
 		// Invoked once after the load completes: snapshot the counters the
@@ -568,7 +565,6 @@ func wireIssuer(cfg *loadConfig, maxLag *atomic.Uint64, wireBytes *atomic.Int64,
 			Enabled:           co.Anytime(),
 			EarlyTerminations: st.EarlyTerminations,
 			CancelsSent:       st.CancelsSent,
-			PartialFrames:     st.PartialFrames,
 			Stragglers:        st.Stragglers,
 		}
 		if rounds > 0 {

@@ -63,7 +63,6 @@ func main() {
 		jsonOut   = flag.String("json", "", "load: write a schema-versioned JSON report to this path")
 		snap      = flag.String("snap", "", "load: build the in-process deployment from this SNAP edge-list file")
 		sdelay    = flag.String("sitedelay", "0", "load: emulated per-frame site service time (in-process mode; the N3 workload uses 5ms). A comma-separated list assigns delays per site, cycling — e.g. 0,0,0,50ms puts one straggler in a 4-site deployment")
-		anytime   = flag.Bool("anytime", true, "load: anytime answers — sites stream partial equations and reach rounds terminate the instant they are proven (in-process mode)")
 		url       = flag.String("url", "", "load: drive a cmd/serve gateway at this base URL instead of an in-process deployment")
 		index     = flag.Bool("index", false, "load: enable the per-fragment reachability index (in-process mode)")
 		indexBgt  = flag.Int64("indexbudget", reachindex.DefaultBudget, "load: with -index, per-fragment label budget in bytes")
@@ -89,7 +88,6 @@ func main() {
 			jsonPath:  *jsonOut,
 			snap:      *snap,
 			siteDelay: *sdelay,
-			anytime:   *anytime,
 			index:     *index,
 			indexBgt:  *indexBgt,
 			indexPol:  *indexPol,

@@ -43,8 +43,8 @@ import (
 // loop (so queue delay under overload is charged to the system, not
 // silently dropped — no coordinated omission) and from issue time in
 // closed loop. First-answer percentiles come from the coordinator's own
-// clock (WireStats.FirstAnswer): the instant streamed partials proved the
-// round, before the straggler sites' finals.
+// clock (WireStats.FirstAnswer): the instant the finals received so far
+// proved the round, before the straggler sites' finals.
 const benchSchema = "distreach-bench/v3"
 
 // benchRunMeta records where a report came from, so a regression hunt can
@@ -128,7 +128,6 @@ type benchReportConfig struct {
 	RebalanceMS int64   `json:"rebalance_ms"`
 	RatePerSec  float64 `json:"rate_per_sec"` // 0 = closed loop
 	Arrival     string  `json:"arrival,omitempty"`
-	Anytime     bool    `json:"anytime"`
 	SiteDelay   string  `json:"site_delay,omitempty"` // comma-separated per-site service delays
 	Snap        string  `json:"snap,omitempty"`
 	URL         string  `json:"url,omitempty"`
@@ -174,7 +173,6 @@ type anytimeReport struct {
 	EarlyTerminations int64   `json:"early_terminations"`
 	EarlyTermRate     float64 `json:"early_term_rate"` // early terminations / rounds
 	CancelsSent       int64   `json:"cancels_sent"`
-	PartialFrames     int64   `json:"partial_frames"`
 	Stragglers        []int64 `json:"stragglers"` // per site: rounds decided before its final
 }
 

@@ -138,8 +138,25 @@ func (cl *coalescer) flush() {
 			w.done <- coalesceResult{err: err}
 			continue
 		}
-		w.done <- coalesceResult{ans: answers[i], st: st}
+		w.done <- coalesceResult{ans: answers[i], st: shareOf(st, i, n)}
 	}
+}
+
+// shareOf is query i's share of a round that served n queries: the
+// round's bytes split evenly (the remainder going to the first queries),
+// so per-query byte metrics summed over the round's queries count its
+// traffic once. Frame counts and timings stay the round's own.
+func shareOf(st netsite.WireStats, i int, n int64) netsite.WireStats {
+	split := func(total int64) int64 {
+		v := total / n
+		if int64(i) < total%n {
+			v++
+		}
+		return v
+	}
+	st.BytesSent = split(st.BytesSent)
+	st.BytesReceived = split(st.BytesReceived)
+	return st
 }
 
 // statsJSON is the /stats "coalesce" section.

@@ -268,7 +268,6 @@ type wireJSON struct {
 	FramesReceived    int64 `json:"frames_received"`
 	RoundTripMicros   int64 `json:"round_trip_us"`
 	FirstAnswerMicros int64 `json:"first_answer_us"`
-	PartialFrames     int64 `json:"partial_frames,omitempty"`
 	CancelFrames      int64 `json:"cancel_frames,omitempty"`
 	EarlyTerminated   bool  `json:"early_terminated,omitempty"`
 }
@@ -281,7 +280,6 @@ func toWireJSON(st netsite.WireStats) *wireJSON {
 		FramesReceived:    st.FramesReceived,
 		RoundTripMicros:   st.RoundTrip.Microseconds(),
 		FirstAnswerMicros: st.FirstAnswer.Microseconds(),
-		PartialFrames:     st.PartialFrames,
 		CancelFrames:      st.CancelFrames,
 		EarlyTerminated:   st.EarlyTerminated,
 	}
@@ -935,7 +933,6 @@ func (g *gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		"enabled":            g.co.Anytime(),
 		"early_terminations": ast.EarlyTerminations,
 		"cancels_sent":       ast.CancelsSent,
-		"partial_frames":     ast.PartialFrames,
 		// Per-site straggler histogram: rounds decided before that site's
 		// final arrived. The site dominating it is the one slowing full
 		// rounds down.

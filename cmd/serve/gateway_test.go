@@ -15,6 +15,7 @@ import (
 	"distreach/internal/gen"
 	"distreach/internal/graph"
 	"distreach/internal/netsite"
+	"distreach/internal/obs"
 )
 
 func testGateway(t *testing.T) (*gateway, *graph.Graph, *httptest.Server) {
@@ -788,6 +789,79 @@ func TestGatewayCoalesce(t *testing.T) {
 	}
 }
 
+// TestGatewayCoalescedBytesCountedOnce: a burst of concurrent GET /reach
+// misses that share coalesced rounds must add exactly those rounds' wire
+// bytes to the gateway_query_wire_bytes histogram — each query records
+// its share, not the whole round once per query.
+func TestGatewayCoalescedBytesCountedOnce(t *testing.T) {
+	g := gen.Uniform(gen.Config{Nodes: 80, Edges: 320, Labels: []string{"A", "B"}, Seed: 67})
+	fr, err := fragment.Random(g, 3, 67)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites, addrs, err := netsite.ServeFragmentation(fr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := netsite.Dial(addrs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every round waits for all finals, so the connection totals are
+	// exactly the rounds' bytes (no late straggler finals).
+	co.SetAnytime(false)
+	gw := newGateway(co, gwOptions{cacheCap: 128, coalesce: 200 * time.Millisecond})
+	srv := httptest.NewServer(gw.routes())
+	t.Cleanup(func() {
+		srv.Close()
+		co.Close()
+		for _, s := range sites {
+			s.Close()
+		}
+	})
+
+	sent0, recv0 := co.WireTotals()
+	const n = 9
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Get(srv.URL + "/reach?s=" + strconv.Itoa(i) + "&t=" + strconv.Itoa(75-i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("qr(%d,%d): status %d", i, 75-i, resp.StatusCode)
+			}
+		}(i)
+	}
+	wg.Wait()
+	sent1, recv1 := co.WireTotals()
+	if rounds := gw.coal.rounds.Load(); rounds >= n {
+		t.Fatalf("%d misses flushed as %d rounds; nothing was coalesced", n, rounds)
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	samples, err := obs.ValidateExposition(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := samples[`gateway_query_wire_bytes_count{class="reach"}`]; c != n {
+		t.Fatalf("histogram count %v, want %d queries", c, n)
+	}
+	want := float64((sent1 - sent0) + (recv1 - recv0))
+	if got := samples[`gateway_query_wire_bytes_sum{class="reach"}`]; got != want {
+		t.Fatalf("histogram sum %v bytes, the coalesced rounds moved %v", got, want)
+	}
+}
+
 // TestGatewayAnytimeStats: the anytime protocol end to end through HTTP —
 // a reach query whose certificate avoids the slow site answers well ahead
 // of the straggler, the per-query wire JSON reports the early
@@ -863,6 +937,11 @@ func TestGatewayAnytimeStats(t *testing.T) {
 	if int64(wire["cancel_frames"].(float64)) < 1 {
 		t.Fatalf("wire JSON reports no cancel frames: %v", wire)
 	}
+	// One request frame per site, and at most one answer frame back from
+	// each: the round was decided by the two fast sites' finals alone.
+	if fs, fr := int64(wire["frames_sent"].(float64)), int64(wire["frames_received"].(float64)); fs != 3 || fr != 2 {
+		t.Fatalf("frames sent/received = %d/%d, want 3/2 (one final per fast site)", fs, fr)
+	}
 
 	st := getJSON(t, srv.URL+"/stats", 200)
 	at, ok := st["anytime"].(map[string]any)
@@ -877,9 +956,6 @@ func TestGatewayAnytimeStats(t *testing.T) {
 	}
 	if n := int64(at["cancels_sent"].(float64)); n < 1 {
 		t.Fatalf("cancels_sent = %d, want >= 1", n)
-	}
-	if n := int64(at["partial_frames"].(float64)); n < 1 {
-		t.Fatalf("partial_frames = %d, want >= 1", n)
 	}
 	str, ok := at["stragglers"].([]any)
 	if !ok || len(str) != 3 {

@@ -61,9 +61,6 @@ func newGwObs(co *netsite.Coordinator) *gwObs {
 	reg.GaugeFunc("gateway_anytime_early_terminations_total",
 		"Anytime rounds answered before every site finished.",
 		func() float64 { return float64(co.AnytimeStats().EarlyTerminations) })
-	reg.GaugeFunc("gateway_anytime_partial_frames_total",
-		"Partial ('P') frames received across anytime rounds.",
-		func() float64 { return float64(co.AnytimeStats().PartialFrames) })
 	reg.GaugeFunc("gateway_anytime_cancels_total",
 		"Cancel ('C') frames sent to straggler sites.",
 		func() float64 { return float64(co.AnytimeStats().CancelsSent) })

@@ -22,7 +22,8 @@ import "fmt"
 // solution of the equations seen so far, so Decide is O(1) at any point
 // while the total propagation work over any Add sequence is O(|Vd|+|Ed|)
 // — the same bound as one batch Solve. This is what lets the coordinator
-// answer a reach query the instant streamed partials close a certificate.
+// answer a reach query the instant the sites' answers received so far
+// close a certificate.
 type System[K comparable] struct {
 	idx   map[K]int // variable -> dense index
 	vars  []K

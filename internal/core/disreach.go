@@ -46,32 +46,7 @@ type ReachPartial struct {
 // returned; callers running under cooperative cancellation must treat nil
 // as "no reply owed".
 func LocalEvalReach(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
-	rv, _ := localEvalStream(f, s, t, opt, nil)
-	return rv
-}
-
-// MaxStreamChunks bounds the number of partial-equation chunks a streaming
-// local evaluation emits before the final complete answer. The netsite
-// protocol relies on this bound to size per-request reply buffers so a
-// site can never stall the coordinator's demultiplexer.
-const MaxStreamChunks = 8
-
-// LocalEvalReachStream runs localEval in anytime mode: as equations are
-// produced they are handed to emit in chunks (at most MaxStreamChunks
-// calls, geometrically growing so the first certificate-closing equations
-// ship immediately). The chunk passed to emit aliases internal storage and
-// is only valid for the duration of the call. emit returning false — or
-// opt.Cancel firing — abandons the evaluation: the return is (nil, false).
-// Otherwise the complete partial is returned with ok=true; it includes
-// every equation already streamed (chunks are a redundant prefix, sound to
-// re-add since disjunctive equation systems are idempotent under Add).
-//
-// To surface certificates early the in-node order is biased: the source's
-// equation is evaluated first, and when t is stored locally the in-nodes
-// sharing t's SCC (whose equations close certificates with a constant
-// true) come next.
-func LocalEvalReachStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, emit func(chunk *ReachPartial) bool) (*ReachPartial, bool) {
-	return localEvalStream(f, s, t, opt, emit)
+	return localEval(f, s, t, opt)
 }
 
 // WireSize reports the reply size of the partial answer for a fragment
@@ -81,21 +56,10 @@ func (rv *ReachPartial) WireSize(boundaryVars int) int { return rv.wireSize(boun
 // NumEqs reports the number of equations in the partial.
 func (rv *ReachPartial) NumEqs() int { return len(rv.eqs) }
 
-// Merge appends o's equations to rv. Duplicate equations are harmless —
-// disjunctive systems are idempotent under Add — so merging a streamed
-// chunk sequence with the complete final partial stays sound. TouchedReach
-// and SolveReach over the merged partial give the same results as over the
-// complete one.
-func (rv *ReachPartial) Merge(o *ReachPartial) {
-	if o != nil {
-		rv.eqs = append(rv.eqs, o.eqs...)
-	}
-}
-
 // AddToSystem feeds the partial's equations into an incremental equation
-// system. It is the streaming counterpart of SolveReach: the coordinator
-// calls it per received frame and polls sys.Decide(s) instead of
-// re-solving from scratch.
+// system. It is the incremental counterpart of SolveReach: the coordinator
+// calls it per site answer as it arrives and polls sys.Decide(s) instead
+// of re-solving from scratch.
 func (rv *ReachPartial) AddToSystem(sys *bes.System[graph.NodeID]) {
 	if rv == nil {
 		return
@@ -206,43 +170,17 @@ func DisReach(cl *cluster.Cluster, fr *fragment.Fragmentation, s, t graph.NodeID
 // it keeps both the local work and the reply size near-linear in the
 // fragment's boundary structure instead of |Fi.I|·|Fi| in the worst case
 // (the paper's O(|Vf||Fm|) bound still applies).
+//
+// opt.Cancel is polled at cooperative checkpoints; a cancelled evaluation
+// is abandoned and returns nil.
 func localEval(f *fragment.Fragment, s, t graph.NodeID, opt *Options) *ReachPartial {
-	rv, _ := localEvalStream(f, s, t, opt, nil)
-	return rv
-}
-
-// localEvalStream is localEval with two anytime hooks: a chunk sink for
-// streaming partial frames (nil for the classic one-shot evaluation) and
-// the cooperative cancellation checkpoints of opt.Cancel. It returns
-// (nil, false) when abandoned.
-func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink func(*ReachPartial) bool) (*ReachPartial, bool) {
 	if opt == nil {
 		opt = &Options{}
 	}
 	iset := isetOf(f, s)
-	if sink != nil {
-		iset = streamOrder(f, iset, s, t)
-	}
 	rv := &ReachPartial{eqs: make([]reachEq, 0, len(iset))}
 	if len(iset) == 0 {
-		return rv, true
-	}
-	// flush emits the equations appended since the previous chunk. Chunk
-	// boundaries grow geometrically (1, 2, 4, ...) so the prioritized
-	// head of the evaluation ships with minimum latency while long tails
-	// stay within the MaxStreamChunks frame budget.
-	emitted, last, next := 0, 0, 1
-	flush := func() bool {
-		if sink == nil || emitted >= MaxStreamChunks || len(rv.eqs)-last < next {
-			return true
-		}
-		if !sink(&ReachPartial{eqs: rv.eqs[last:]}) {
-			return false
-		}
-		last = len(rv.eqs)
-		emitted++
-		next *= 2
-		return true
+		return rv
 	}
 	met := opt.Metrics
 	if opt.LocalIndex != nil {
@@ -250,7 +188,7 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 		tLocal, hasT := f.Local(t)
 		for _, v := range iset {
 			if opt.cancelled() {
-				return nil, false
+				return nil
 			}
 			eq := reachEq{node: f.Global(v)}
 			if eq.node == t {
@@ -260,9 +198,6 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 				rv.eqs = append(rv.eqs, eq)
 				if met != nil {
 					met.ConstEqs++
-				}
-				if !flush() {
-					return nil, false
 				}
 				continue
 			}
@@ -283,11 +218,8 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 				}
 			}
 			rv.eqs = append(rv.eqs, eq)
-			if !flush() {
-				return nil, false
-			}
 		}
-		return rv, true
+		return rv
 	}
 	// Equation aliasing: in-nodes in the same local SCC reach exactly the
 	// same boundary nodes, so only one representative per SCC needs a full
@@ -320,7 +252,7 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 	var queue []int32
 	for stamp, v := range iset {
 		if opt.cancelled() {
-			return nil, false
+			return nil
 		}
 		if f.Global(v) == t {
 			// Xt is trivially true (t reaches itself). This must precede
@@ -330,18 +262,12 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 			if met != nil {
 				met.ConstEqs++
 			}
-			if !flush() {
-				return nil, false
-			}
 			continue
 		}
 		if rep := repOf[comp[v]]; rep != 0 {
 			rv.eqs = append(rv.eqs, reachEq{node: f.Global(v), vars: []graph.NodeID{f.Global(rep - 1)}})
 			if met != nil {
 				met.AliasEqs++
-			}
-			if !flush() {
-				return nil, false
 			}
 			continue
 		}
@@ -370,9 +296,6 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 				rv.eqs = append(rv.eqs, eq)
 				if met != nil {
 					met.IndexedEqs++
-				}
-				if !flush() {
-					return nil, false
 				}
 				continue
 			}
@@ -404,7 +327,7 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 		pops := 0
 		for len(queue) > 0 {
 			if pops++; pops&0xff == 0 && opt.cancelled() {
-				return nil, false
+				return nil
 			}
 			x := queue[0]
 			queue = queue[1:]
@@ -429,53 +352,8 @@ func localEvalStream(f *fragment.Fragment, s, t graph.NodeID, opt *Options, sink
 			}
 		}
 		rv.eqs = append(rv.eqs, eq)
-		if !flush() {
-			return nil, false
-		}
 	}
-	return rv, true
-}
-
-// streamOrder biases the evaluation order of a streaming localEval so the
-// equations most likely to close a path certificate at the coordinator
-// ship first: the source's own equation (the root of every certificate
-// chain), then — when t is stored here — the in-nodes sharing t's local
-// SCC (their equations carry the constant true that terminates a chain),
-// then the remaining in-nodes in stored order. The set is unchanged, only
-// the order, so aliasing and the emitted equations stay equivalent to the
-// one-shot evaluation.
-func streamOrder(f *fragment.Fragment, iset []int32, s, t graph.NodeID) []int32 {
-	ls, hasS := f.Local(s)
-	if hasS && f.IsVirtual(ls) {
-		hasS = false
-	}
-	lt, hasT := f.Local(t)
-	if !hasS && !hasT {
-		return iset
-	}
-	var comp []int32
-	if hasT {
-		comp = f.LocalSCC()
-	}
-	out := make([]int32, 0, len(iset))
-	rank := func(v int32) int {
-		switch {
-		case hasS && v == ls:
-			return 0
-		case hasT && comp[v] == comp[lt]:
-			return 1
-		default:
-			return 2
-		}
-	}
-	for r := 0; r <= 2; r++ {
-		for _, v := range iset {
-			if rank(v) == r {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
+	return rv
 }
 
 // isetOf returns the fragment's in-nodes plus the source s when s is stored

@@ -21,8 +21,8 @@ func init() {
 // instead of waiting the straggler out. The deployment is the two-component
 // skew topology the protocol is designed for — a chain alternating between
 // two fast fragments and an isolated chain owned entirely by the straggler —
-// so every reachable pair in the fast chain can be proven from streamed
-// partials alone. The same workload runs twice, with anytime off (full
+// so every reachable pair in the fast chain can be proven from the fast
+// sites' final answers alone. The same workload runs twice, with anytime off (full
 // strict rounds) and on, and the table compares first-answer percentiles.
 // Both passes must agree with the constructed ground truth on every query;
 // the anytime pass must cut first-answer p99 by at least 2x.
@@ -33,7 +33,7 @@ func anytimeFirstAnswer(cfg Config) (Table, error) {
 		Header: []string{"mode", "true queries", "early terminated", "first-ans p50", "first-ans p99", "p99 speedup", "mismatches"},
 		Notes: "Two-component topology: a chain alternating between two fast sites (4ms service time) and an isolated chain owned by " +
 			"one straggler site (80ms, a 20x skew). Reachable pairs inside the fast chain have their whole certificate on the fast " +
-			"sites; with anytime on, streamed partials prove them and the round cancels the straggler, so first answer lands at " +
+			"sites; with anytime on, the fast sites' finals prove them and the round cancels the straggler, so first answer lands at " +
 			"fast-site latency. False cross-component pairs need every site's finals in both modes and serve as the mismatch " +
 			"cross-check (percentiles cover the true pairs only). The acceptance bound is a ≥2x first-answer p99 cut.",
 	}

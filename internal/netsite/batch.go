@@ -25,9 +25,7 @@ import (
 //	  class 'b' adds: l u32
 //	  class 'q' adds: alen u32 | automaton bytes
 //
-// The flags byte carries batchFlagStream: the coordinator invites the site
-// to emit 'P' frames — per-target equation chunks (see encodeBatchChunk) —
-// ahead of the final reply, enabling anytime early termination.
+// The flags byte is reserved and must be 0.
 //
 // Batch response payload:
 //
@@ -81,10 +79,6 @@ type BatchAnswer struct {
 // frame layout. Version 2 added the shared per-target sections to the
 // reply; version 3 added the request flags byte.
 const batchVersion = 3
-
-// batchFlagStream, in a batch request's flags byte, asks the site to
-// stream per-query equation chunks as 'P' frames ahead of the final reply.
-const batchFlagStream = 1
 
 // maxBatch bounds the declared per-payload query count against hostile
 // length prefixes; real batches are orders of magnitude smaller.
@@ -185,8 +179,8 @@ func (r *batchReader) done() error {
 }
 
 // encodeBatchRequest packs a mixed-class query batch into one payload.
-func encodeBatchRequest(qs []BatchQuery, flags byte) ([]byte, error) {
-	b := []byte{batchVersion, flags}
+func encodeBatchRequest(qs []BatchQuery) ([]byte, error) {
+	b := []byte{batchVersion, 0}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(qs)))
 	for i, q := range qs {
 		b = append(b, byte(q.Class))
@@ -213,37 +207,37 @@ func encodeBatchRequest(qs []BatchQuery, flags byte) ([]byte, error) {
 	return b, nil
 }
 
-// decodeBatchRequest is the inverse of encodeBatchRequest. Unknown flag
-// bits are rejected so the codec stays an identity under fuzzing.
-func decodeBatchRequest(p []byte) ([]BatchQuery, byte, error) {
+// decodeBatchRequest is the inverse of encodeBatchRequest. A nonzero
+// flags byte is rejected so the codec stays an identity under fuzzing.
+func decodeBatchRequest(p []byte) ([]BatchQuery, error) {
 	r := &batchReader{b: p}
 	if err := r.version(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	flags, err := r.u8()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	if flags&^byte(batchFlagStream) != 0 {
-		return nil, 0, fmt.Errorf("netsite: unknown batch flags %#x", flags)
+	if flags != 0 {
+		return nil, fmt.Errorf("netsite: unknown batch flags %#x", flags)
 	}
 	n, err := r.count(9) // class + s + t at minimum
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	qs := make([]BatchQuery, 0, n)
 	for i := 0; i < n; i++ {
 		cls, err := r.u8()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		s, err := r.u32()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		t, err := r.u32()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		q := BatchQuery{Class: QueryClass(cls), S: graph.NodeID(s), T: graph.NodeID(t)}
 		switch q.Class {
@@ -251,31 +245,31 @@ func decodeBatchRequest(p []byte) ([]BatchQuery, byte, error) {
 		case ClassDist:
 			l, err := r.u32()
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			q.L = int(l)
 		case ClassRPQ:
 			alen, err := r.u32()
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			ab, err := r.bytes(alen)
 			if err != nil {
-				return nil, 0, err
+				return nil, err
 			}
 			q.A = new(automaton.Automaton)
 			if err := q.A.UnmarshalBinary(ab); err != nil {
-				return nil, 0, fmt.Errorf("netsite: batch query %d: %w", i, err)
+				return nil, fmt.Errorf("netsite: batch query %d: %w", i, err)
 			}
 		default:
-			return nil, 0, fmt.Errorf("netsite: batch query %d: unknown class %q", i, cls)
+			return nil, fmt.Errorf("netsite: batch query %d: unknown class %q", i, cls)
 		}
 		qs = append(qs, q)
 	}
 	if err := r.done(); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return qs, flags, nil
+	return qs, nil
 }
 
 // encodeBatchReply packs the shared per-target sections plus, per batched
@@ -356,8 +350,10 @@ func decodeBatchReply(p []byte) (shared [][]byte, refs []uint32, parts [][]byte,
 // against its fragment in one pass and answers with one frame carrying a
 // partial per query, and the coordinator demultiplexes and solves each
 // query from its partials. The returned WireStats covers the whole batch:
-// FramesSent (and FramesReceived) equal the site count — independent of
-// len(qs) — which is the per-batch form of the paper's visit bound.
+// FramesSent equals the site count, and FramesReceived is at most that —
+// independent of len(qs) — which is the per-batch form of the paper's
+// visit bound. An all-reach batch whose every query is proved true before
+// the last final arrives returns early (see SetAnytime).
 //
 // Queries that short-circuit locally (s == t, or a non-positive distance
 // bound) are answered without touching the wire; a batch of only such
@@ -405,82 +401,124 @@ func (c *Coordinator) BatchContext(ctx context.Context, qs []BatchQuery) ([]Batc
 	if len(wire) == 0 {
 		return answers, WireStats{}, nil
 	}
-	qt := c.newQueryTrace("batch")
-	if c.anytime.Load() {
-		allReach := true
-		for _, q := range wire {
-			if q.Class != ClassReach {
-				allReach = false
-				break
-			}
-		}
-		// Anytime streaming covers reach-only batches (distance and regex
-		// partials have no incremental solver); mixed batches take the
-		// classic full round.
-		if allReach {
-			st, err := c.batchAnytime(ctx, wire, widx, answers, qt)
-			c.finishTrace(qt, &st, err)
-			if err != nil {
-				return nil, st, err
-			}
-			return answers, st, nil
-		}
-	}
-	payload, err := encodeBatchRequest(wire, 0)
+	payload, err := encodeBatchRequest(wire)
 	if err != nil {
-		c.finishTrace(qt, &WireStats{}, err)
 		return nil, WireStats{}, err
 	}
-	replies, st, err := c.queryRound(ctx, kindBatch, payload, qt)
+	qt := c.newQueryTrace("batch")
+	var br *batchRound
+	st, err := c.queryRound(ctx, kindBatch, payload, qt, func() roundSink {
+		br = newBatchRound(wire, len(c.conns))
+		return br.final
+	})
 	if err != nil {
 		c.finishTrace(qt, &st, err)
 		return nil, st, err
 	}
 	solveStart := time.Now()
-	if err := composeBatchAnswers(replies, wire, widx, answers); err != nil {
+	if err := br.compose(widx, answers); err != nil {
 		c.finishTrace(qt, &st, err)
 		return nil, st, err
 	}
 	if qt != nil {
 		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart))
 	}
-	st.FirstAnswer = st.RoundTrip
 	c.finishTrace(qt, &st, nil)
 	return answers, st, nil
 }
 
-// composeBatchAnswers decodes every site's final batch reply and solves
-// each wire query into its answer slot — the compose step shared by the
-// classic full round and an anytime round that ran to completion (their
-// answers are thus byte-for-byte identical).
-func composeBatchAnswers(replies [][]byte, wire []BatchQuery, widx []int, answers []BatchAnswer) error {
-	// Per site: the decoded shared sections (reach rvsets, unmarshaled
-	// once however many queries reference them), plus per-query refs and
-	// own partial bytes.
-	type siteReply struct {
-		shared []*core.ReachPartial
-		refs   []uint32
-		parts  [][]byte
+// batchReply is one site's decoded batch reply: the shared per-target
+// reach sections, and per query its section reference, its own reach
+// partial (nil when the shared section says it all) and its raw partial
+// bytes (decoded at compose time for distance and regex queries).
+type batchReply struct {
+	shared []*core.ReachPartial
+	refs   []uint32
+	own    []*core.ReachPartial
+	parts  [][]byte
+}
+
+// batchRound is the round sink of a batch. Every reach query's equations
+// feed one incremental system per distinct target as finals arrive; the
+// round is decided once every query in the batch is proved true, which
+// only an all-reach batch can reach early (false verdicts, distance and
+// regex answers need every site's final).
+type batchRound struct {
+	wire      []BatchQuery
+	sites     []*batchReply // per site; nil until its final arrives
+	sys       map[graph.NodeID]*bes.System[graph.NodeID]
+	decided   []bool
+	undecided int
+}
+
+func newBatchRound(wire []BatchQuery, sites int) *batchRound {
+	br := &batchRound{
+		wire:      wire,
+		sites:     make([]*batchReply, sites),
+		sys:       make(map[graph.NodeID]*bes.System[graph.NodeID]),
+		decided:   make([]bool, len(wire)),
+		undecided: len(wire),
 	}
-	srs := make([]siteReply, len(replies))
-	for site, resp := range replies {
-		shared, refs, parts, err := decodeBatchReply(resp)
-		if err != nil {
-			return fmt.Errorf("netsite: site %d reply: %w", site, err)
+	for _, q := range wire {
+		if _, ok := br.sys[q.T]; q.Class == ClassReach && !ok {
+			br.sys[q.T] = bes.New[graph.NodeID]()
 		}
-		if len(parts) != len(wire) {
-			return fmt.Errorf("netsite: site %d answered %d of %d batch queries",
-				site, len(parts), len(wire))
+	}
+	return br
+}
+
+// final decodes one site's batch reply and feeds its reach equations.
+func (br *batchRound) final(site int, body []byte) (bool, error) {
+	shared, refs, parts, err := decodeBatchReply(body)
+	if err != nil {
+		return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
+	}
+	if len(parts) != len(br.wire) {
+		return false, fmt.Errorf("netsite: site %d answered %d of %d batch queries", site, len(parts), len(br.wire))
+	}
+	rep := &batchReply{shared: make([]*core.ReachPartial, len(shared)), refs: refs,
+		own: make([]*core.ReachPartial, len(parts)), parts: parts}
+	for k, sb := range shared {
+		rep.shared[k] = new(core.ReachPartial)
+		if err := rep.shared[k].UnmarshalBinary(sb); err != nil {
+			return false, fmt.Errorf("netsite: site %d shared section %d: %w", site, k, err)
 		}
-		sr := siteReply{refs: refs, parts: parts, shared: make([]*core.ReachPartial, len(shared))}
-		for k, sb := range shared {
-			sr.shared[k] = new(core.ReachPartial)
-			if err := sr.shared[k].UnmarshalBinary(sb); err != nil {
-				return fmt.Errorf("netsite: site %d shared section %d: %w", site, k, err)
+	}
+	// Each shared section belongs to exactly one target; feed it once
+	// however many queries reference it.
+	fed := make([]bool, len(shared))
+	for j, q := range br.wire {
+		if q.Class != ClassReach {
+			continue
+		}
+		sys := br.sys[q.T]
+		if ref := refs[j]; ref > 0 && !fed[ref-1] {
+			fed[ref-1] = true
+			rep.shared[ref-1].AddToSystem(sys)
+		}
+		if len(parts[j]) > 0 {
+			rep.own[j] = new(core.ReachPartial)
+			if err := rep.own[j].UnmarshalBinary(parts[j]); err != nil {
+				return false, fmt.Errorf("netsite: site %d batch query %d: %w", site, j, err)
 			}
+			rep.own[j].AddToSystem(sys)
 		}
-		srs[site] = sr
 	}
+	br.sites[site] = rep
+	for j, q := range br.wire {
+		if !br.decided[j] && q.Class == ClassReach && br.sys[q.T].Decide(q.S) {
+			br.decided[j] = true
+			br.undecided--
+		}
+	}
+	return br.undecided == 0, nil
+}
+
+// compose solves each wire query into its answer slot from the finals
+// received. A reach answer is its target system's verdict; after an early
+// decision the stragglers' replies are missing, which leaves the (true)
+// verdicts and the dependency-closure Touched sets sound.
+func (br *batchRound) compose(widx []int, answers []BatchAnswer) error {
 	// siteOf maps a 2-per-site partial layout (shared, own) back to sites.
 	siteOf := func(idx []int) []int {
 		out := make([]int, 0, len(idx))
@@ -493,41 +531,39 @@ func composeBatchAnswers(replies [][]byte, wire []BatchQuery, widx []int, answer
 		}
 		return out
 	}
-	for j, q := range wire {
+	for j, q := range br.wire {
 		i := widx[j]
 		switch q.Class {
 		case ClassReach:
 			// Two partials per site: the shared per-target rvset and the
-			// query's own source equation. SolveReach composes them.
-			partials := make([]*core.ReachPartial, 2*len(srs))
-			for site, sr := range srs {
-				if ref := sr.refs[j]; ref > 0 {
-					partials[2*site] = sr.shared[ref-1]
+			// query's own source equation.
+			partials := make([]*core.ReachPartial, 2*len(br.sites))
+			for site, rep := range br.sites {
+				if rep == nil {
+					continue
 				}
-				if own := sr.parts[j]; len(own) > 0 {
-					partials[2*site+1] = new(core.ReachPartial)
-					if err := partials[2*site+1].UnmarshalBinary(own); err != nil {
-						return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
-					}
+				if ref := rep.refs[j]; ref > 0 {
+					partials[2*site] = rep.shared[ref-1]
 				}
+				partials[2*site+1] = rep.own[j]
 			}
-			answers[i].Answer = core.SolveReach(partials, q.S)
+			answers[i].Answer = br.sys[q.T].Decide(q.S)
 			answers[i].Touched = siteOf(core.TouchedReach(partials, q.S))
 		case ClassDist:
-			partials := make([]*core.DistPartial, len(srs))
-			for site, sr := range srs {
+			partials := make([]*core.DistPartial, len(br.sites))
+			for site, rep := range br.sites {
 				partials[site] = new(core.DistPartial)
-				if err := partials[site].UnmarshalBinary(sr.parts[j]); err != nil {
+				if err := partials[site].UnmarshalBinary(rep.parts[j]); err != nil {
 					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
 				}
 			}
 			d := core.SolveDist(partials, q.S)
 			answers[i] = BatchAnswer{Answer: d <= int64(q.L), Dist: d, Touched: core.TouchedDist(partials, q.S)}
 		case ClassRPQ:
-			partials := make([]*core.RPQPartial, len(srs))
-			for site, sr := range srs {
+			partials := make([]*core.RPQPartial, len(br.sites))
+			for site, rep := range br.sites {
 				partials[site] = new(core.RPQPartial)
-				if err := partials[site].UnmarshalBinary(sr.parts[j]); err != nil {
+				if err := partials[site].UnmarshalBinary(rep.parts[j]); err != nil {
 					return fmt.Errorf("netsite: site %d batch query %d: %w", site, i, err)
 				}
 			}

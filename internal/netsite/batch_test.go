@@ -190,7 +190,7 @@ func TestBatchShortCircuits(t *testing.T) {
 // fuzzers also probe: corrupt counts, truncations, and trailing bytes must
 // come back as errors, never panics or giant allocations.
 func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
-	valid, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 1, T: 2}}, 0)
+	valid, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 1, T: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,13 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 		"empty":           {},
 		"bad version":     {9, 0, 1, 0, 0, 0},
 		"unknown flags":   {batchVersion, 0xF0, 1, 0, 0, 0},
+		"old stream flag": append([]byte{batchVersion, 1}, valid[2:]...),
 		"huge count":      {batchVersion, 0, 0xFF, 0xFF, 0xFF, 0xFF},
 		"truncated query": valid[:len(valid)-2],
 		"trailing bytes":  append(append([]byte{}, valid...), 0xAA),
 		"unknown class":   {batchVersion, 0, 1, 0, 0, 0, 'z', 0, 0, 0, 0, 0, 0, 0, 0},
 	} {
-		if _, _, err := decodeBatchRequest(p); err == nil {
+		if _, err := decodeBatchRequest(p); err == nil {
 			t.Errorf("decodeBatchRequest accepted %s payload", name)
 		}
 	}
@@ -222,16 +223,13 @@ func TestBatchCodecRejectsHostilePayloads(t *testing.T) {
 	}
 	// Round trips survive intact, including empty batches and empty parts.
 	qs := []BatchQuery{{Class: ClassDist, S: 5, T: 9, L: 3}, {Class: ClassReach, S: 0, T: 1}}
-	enc, err := encodeBatchRequest(qs, batchFlagStream)
+	enc, err := encodeBatchRequest(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, flags, err := decodeBatchRequest(enc)
+	dec, err := decodeBatchRequest(enc)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if flags != batchFlagStream {
-		t.Fatalf("request round trip flags: %#x", flags)
 	}
 	if len(dec) != 2 || dec[0] != qs[0] || dec[1] != qs[1] {
 		t.Fatalf("request round trip: %+v", dec)

@@ -61,8 +61,8 @@ type Coordinator struct {
 	// replica-lag signal /stats and bench report.
 	siteLSNs []atomic.Uint64
 
-	// anytime enables streaming partial replies and early termination for
-	// reach queries and all-reach batches (default on; see SetAnytime).
+	// anytime lets a query round return the moment the finals received so
+	// far decide it, cancelling the stragglers (default on; see SetAnytime).
 	anytime atomic.Bool
 	any     anytimeCounters
 
@@ -157,7 +157,6 @@ func (c *Coordinator) finishTrace(qt *qtrace, st *WireStats, err error) {
 type anytimeCounters struct {
 	earlyTerms atomic.Int64
 	cancels    atomic.Int64
-	partials   atomic.Int64
 	stragglers []atomic.Int64
 }
 
@@ -170,9 +169,6 @@ type AnytimeStats struct {
 	// CancelsSent counts 'C' frames written (early terminations, aborted
 	// split rounds, and context cancellations all cancel their stragglers).
 	CancelsSent int64
-	// PartialFrames counts 'P' frames received and fed to the incremental
-	// solver.
-	PartialFrames int64
 	// Stragglers counts, per site, the rounds decided before that site's
 	// final arrived — a per-site straggler histogram: a site that dominates
 	// it is the one slowing full rounds down.
@@ -184,7 +180,6 @@ func (c *Coordinator) AnytimeStats() AnytimeStats {
 	st := AnytimeStats{
 		EarlyTerminations: c.any.earlyTerms.Load(),
 		CancelsSent:       c.any.cancels.Load(),
-		PartialFrames:     c.any.partials.Load(),
 		Stragglers:        make([]int64, len(c.any.stragglers)),
 	}
 	for i := range c.any.stragglers {
@@ -193,11 +188,12 @@ func (c *Coordinator) AnytimeStats() AnytimeStats {
 	return st
 }
 
-// SetAnytime toggles anytime answers: streaming partial replies, early
-// termination the moment accumulated equations prove a reach query true,
-// and cross-site cancellation of the remaining evaluation. On by default.
-// Off, every query waits out the full strict round — byte-accounting tests
-// and latency baselines use that mode.
+// SetAnytime decides what a query round does once the site answers
+// received so far decide it — a reach query, or an all-reach batch, proved
+// true by the fast sites' finals. On (the default), the round returns at
+// once and cancels its stragglers with 'C' frames. Off, it waits out every
+// site's final, so every round costs the same frames and bytes — the mode
+// byte-accounting tests and latency baselines use.
 func (c *Coordinator) SetAnytime(on bool) { c.anytime.Store(on) }
 
 // Anytime reports whether anytime answers are enabled.
@@ -220,28 +216,14 @@ const (
 	redialMax = 2 * time.Second
 )
 
-// wireReply is one demultiplexed response frame.
+// wireReply is one demultiplexed response frame, or the notice that the
+// connection was lost before the request's reply arrived.
 type wireReply struct {
+	site    int // index of the answering site
+	lost    bool
 	kind    byte
 	payload []byte
 	n       int // bytes read off the wire for this frame
-}
-
-// maxPartialBuffer sizes the per-request partial-frame buffer. Sites bound
-// themselves to core.MaxStreamChunks 'P' frames per request; the slack
-// absorbs a misbehaving site without ever blocking the demultiplexer —
-// overflowing partials are dropped, which is always sound (the final
-// answer frame carries the complete partial).
-const maxPartialBuffer = 2 * core.MaxStreamChunks
-
-// pendingReq is one in-flight request in a connection's pending table. The
-// final channel (capacity 1) receives the single 'R' or 'E' frame — or is
-// closed when the connection is lost. parts, non-nil only for streaming
-// requests, receives 'P' frames; the read loop never blocks on it (see
-// maxPartialBuffer).
-type pendingReq struct {
-	final chan wireReply
-	parts chan wireReply
 }
 
 // siteConn is one multiplexed connection to a worker site: a write mutex
@@ -253,6 +235,7 @@ type pendingReq struct {
 // backoff; queries posted while the link is down fail fast with the last
 // error.
 type siteConn struct {
+	site    int // index in Coordinator.conns, stamped on every reply
 	addr    string
 	timeout time.Duration // dial timeout, initial and redial
 	done    chan struct{} // closed by Coordinator.Close; stops redialing
@@ -267,21 +250,27 @@ type siteConn struct {
 
 	wmu sync.Mutex // serializes whole-frame writes
 
-	mu        sync.Mutex
-	conn      net.Conn // nil while the link is down
-	pending   map[uint32]*pendingReq
+	mu sync.Mutex
+	// conn is nil while the link is down. pending maps each in-flight
+	// request ID to the channel its one reply goes to. Whoever removes an
+	// entry — the read loop, lost, close or drop — owns its single
+	// delivery, and every channel is sized for one reply per site it was
+	// posted to, so a delivery never blocks.
+	conn      net.Conn
+	pending   map[uint32]chan<- wireReply
 	err       error // last failure; nil while connected
 	closed    bool
 	redialing bool
 }
 
-func newSiteConn(addr string, conn net.Conn, timeout time.Duration) *siteConn {
+func newSiteConn(site int, addr string, conn net.Conn, timeout time.Duration) *siteConn {
 	sc := &siteConn{
+		site:    site,
 		addr:    addr,
 		timeout: timeout,
 		done:    make(chan struct{}),
 		conn:    conn,
-		pending: make(map[uint32]*pendingReq),
+		pending: make(map[uint32]chan<- wireReply),
 	}
 	go sc.readLoop(conn)
 	return sc
@@ -296,12 +285,8 @@ func (sc *siteConn) readLoop(conn net.Conn) {
 		}
 		sc.bytesReceived.Add(int64(n))
 		sc.mu.Lock()
-		pr, ok := sc.pending[id]
-		if ok && kind != kindPartial {
-			// Only the final frame retires the entry: a streaming request
-			// stays pending across its 'P' frames.
-			delete(sc.pending, id)
-		}
+		ch, ok := sc.pending[id]
+		delete(sc.pending, id)
 		sc.mu.Unlock()
 		if !ok {
 			// A reply with no pending query is dropped: its query already
@@ -309,29 +294,21 @@ func (sc *siteConn) readLoop(conn net.Conn) {
 			// after an early decision — late frames drain here.
 			continue
 		}
-		if kind == kindPartial {
-			if pr.parts != nil {
-				// Never block the demultiplexer on a slow waiter: partials
-				// are advisory (the final frame is complete), so overflow
-				// drops are sound.
-				select {
-				case pr.parts <- wireReply{kind: kind, payload: payload, n: n}:
-				default:
-				}
-			}
-			continue
-		}
-		// The final channel has capacity 1 and the entry was just deleted,
-		// so this send can never block: at most one final frame is ever
-		// routed to a request.
-		pr.final <- wireReply{kind: kind, payload: payload, n: n}
+		ch <- wireReply{site: sc.site, kind: kind, payload: payload, n: n}
 	}
 }
 
-// lost records a connection failure, wakes every pending query (a closed
-// reply channel tells the waiter to read sc.err), and starts the redial
-// loop. Stale incarnations (a write error racing the reader's own
-// failure) are ignored.
+// failPending hands every request in pend its lost-connection notice (the
+// waiter reads the cause from sc.err).
+func (sc *siteConn) failPending(pend map[uint32]chan<- wireReply) {
+	for _, ch := range pend {
+		ch <- wireReply{site: sc.site, lost: true}
+	}
+}
+
+// lost records a connection failure, wakes every pending query, and
+// starts the redial loop. Stale incarnations (a write error racing the
+// reader's own failure) are ignored.
 func (sc *siteConn) lost(conn net.Conn, err error) {
 	conn.Close()
 	sc.mu.Lock()
@@ -342,15 +319,13 @@ func (sc *siteConn) lost(conn net.Conn, err error) {
 	sc.conn = nil
 	sc.err = err
 	pend := sc.pending
-	sc.pending = make(map[uint32]*pendingReq)
+	sc.pending = make(map[uint32]chan<- wireReply)
 	redial := !sc.closed && !sc.redialing
 	if redial {
 		sc.redialing = true
 	}
 	sc.mu.Unlock()
-	for _, pr := range pend {
-		close(pr.final)
-	}
+	sc.failPending(pend)
 	if redial {
 		go sc.redial()
 	}
@@ -395,27 +370,16 @@ func (sc *siteConn) redial() {
 	}
 }
 
-// post registers id in the pending table and sends the request frame. The
+// post registers id in the pending table and sends the request frame; the
+// reply (or a lost-connection notice) is delivered on replies. The
 // registration happens before the write so a fast reply can never race
-// past its waiter. A streaming post additionally allocates the partial
-// buffer, inviting the site to emit 'P' frames ahead of the final answer.
-func (sc *siteConn) post(id uint32, kind byte, payload []byte) (chan wireReply, int, error) {
-	pr, n, err := sc.postReq(id, kind, payload, false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pr.final, n, nil
-}
-
-func (sc *siteConn) postReq(id uint32, kind byte, payload []byte, stream bool) (*pendingReq, int, error) {
-	pr := &pendingReq{final: make(chan wireReply, 1)}
-	if stream {
-		pr.parts = make(chan wireReply, maxPartialBuffer)
-	}
+// past its waiter. After an error the caller must not wait for a reply
+// from this site.
+func (sc *siteConn) post(id uint32, kind byte, payload []byte, replies chan<- wireReply) (int, error) {
 	sc.mu.Lock()
 	if sc.closed {
 		sc.mu.Unlock()
-		return nil, 0, fmt.Errorf("coordinator closed")
+		return 0, fmt.Errorf("coordinator closed")
 	}
 	if sc.conn == nil {
 		err := sc.err
@@ -423,10 +387,10 @@ func (sc *siteConn) postReq(id uint32, kind byte, payload []byte, stream bool) (
 		if err == nil {
 			err = fmt.Errorf("connection down")
 		}
-		return nil, 0, err
+		return 0, err
 	}
 	conn := sc.conn
-	sc.pending[id] = pr
+	sc.pending[id] = replies
 	sc.mu.Unlock()
 	sc.wmu.Lock()
 	n, err := writeFrame(conn, id, kind, payload)
@@ -435,11 +399,15 @@ func (sc *siteConn) postReq(id uint32, kind byte, payload []byte, stream bool) (
 		// A failed write may have flushed part of the frame, desyncing the
 		// length-prefixed stream: poison this incarnation rather than let
 		// later queries parse garbage. The redial loop takes it from here.
+		// The entry is dropped first so the failure is reported once, here;
+		// only a reader failing at the same instant can still deliver a
+		// lost notice for it.
+		sc.drop(id)
 		sc.lost(conn, err)
-		return nil, 0, err
+		return 0, err
 	}
 	sc.bytesSent.Add(int64(n))
-	return pr, n, nil
+	return n, nil
 }
 
 // drop abandons a pending request (context deadline, cancellation, or an
@@ -504,11 +472,9 @@ func (sc *siteConn) close() error {
 		sc.err = fmt.Errorf("coordinator closed")
 	}
 	pend := sc.pending
-	sc.pending = make(map[uint32]*pendingReq)
+	sc.pending = make(map[uint32]chan<- wireReply)
 	sc.mu.Unlock()
-	for _, pr := range pend {
-		close(pr.final)
-	}
+	sc.failPending(pend)
 	if conn != nil {
 		return conn.Close()
 	}
@@ -528,7 +494,7 @@ func Dial(addrs []string, timeout time.Duration) (*Coordinator, error) {
 			c.Close()
 			return nil, fmt.Errorf("netsite: dial %s: %w", a, err)
 		}
-		c.conns = append(c.conns, newSiteConn(a, conn, timeout))
+		c.conns = append(c.conns, newSiteConn(len(c.conns), a, conn, timeout))
 	}
 	c.siteLSNs = make([]atomic.Uint64, len(c.conns))
 	c.any.stragglers = make([]atomic.Int64, len(c.conns))
@@ -609,22 +575,25 @@ func (c *Coordinator) Close() error {
 // whole batch round; see Coordinator.Batch).
 type WireStats struct {
 	BytesSent      int64         // query frames to all sites (cancel frames included)
-	BytesReceived  int64         // partial-answer frames ('P' frames included)
+	BytesReceived  int64         // response frames from all sites
 	FramesSent     int64         // request frames; one per site per round
-	FramesReceived int64         // final response frames; at most one per site per round
+	FramesReceived int64         // response frames; at most one per site per round
 	RoundTrip      time.Duration // slowest site's post+reply wall time
 
-	// PartialFrames counts streamed 'P' frames received (anytime rounds
-	// only); CancelFrames counts 'C' frames sent. Neither is included in
-	// FramesSent/FramesReceived, which keep their one-per-site-per-round
-	// meaning.
+	// PartialFrames is always 0. It counted the advisory 'P' chunk frames
+	// of an earlier streaming protocol; every site now answers a query
+	// round with exactly one frame.
+	//
+	// Deprecated: kept so existing readers of the field still compile.
 	PartialFrames int64
-	CancelFrames  int64
+	// CancelFrames counts 'C' frames sent. It is not included in
+	// FramesSent, which keeps its one-per-site-per-round meaning.
+	CancelFrames int64
 
 	// FirstAnswer is the elapsed time until the answer was determined: for
-	// an anytime round, the instant accumulated partials proved it (before
-	// the stragglers' finals); otherwise it equals RoundTrip. Across
-	// retried rounds it accumulates like RoundTrip.
+	// an early-terminated round, the instant the finals received so far
+	// proved it (before the stragglers' finals); otherwise it equals
+	// RoundTrip. Across retried rounds it accumulates like RoundTrip.
 	FirstAnswer time.Duration
 
 	// EarlyTerminated reports that the round was answered before every
@@ -662,7 +631,6 @@ func (st *WireStats) add(o WireStats) {
 	st.FramesSent += o.FramesSent
 	st.FramesReceived += o.FramesReceived
 	st.RoundTrip += o.RoundTrip
-	st.PartialFrames += o.PartialFrames
 	st.CancelFrames += o.CancelFrames
 	st.FirstAnswer += o.FirstAnswer
 	st.EarlyTerminated = o.EarlyTerminated
@@ -670,20 +638,51 @@ func (st *WireStats) add(o WireStats) {
 	st.LSN = o.LSN
 }
 
-// siteResult is one site's outcome in a round: either a decoded answer
-// (payload + the state tag it carried) or an error. appErr distinguishes
-// an error *reply* from the site (the frame arrived, the site refused)
-// from a connection-level failure (the site never saw or never answered
-// the frame). evalNs is the site-reported local evaluation time parsed
-// from a traced reply's spans (0 when untraced), feeding the guarantee
-// auditor's response-time invariant.
+// siteResult is one site's reply in a round, interpreted: either a decoded
+// answer (body + the state tag it carried, plus the spans of a traced
+// answer) or an error. appErr distinguishes an error *reply* from the site
+// (the frame arrived, the site refused) from a connection-level failure
+// (the site never saw or never answered the frame).
 type siteResult struct {
 	payload []byte
 	epoch   uint64
 	lsn     uint64
+	spans   []obs.WireSpan
 	err     error
 	appErr  bool
-	evalNs  int64
+}
+
+// result interprets one delivered reply and records the site's LSN.
+func (c *Coordinator) result(r wireReply) siteResult {
+	i := r.site
+	switch {
+	case r.lost:
+		err := c.conns[i].lastErr()
+		if err == nil {
+			err = fmt.Errorf("connection closed")
+		}
+		return siteResult{err: fmt.Errorf("site %d: %w", i, err)}
+	case r.kind == kindError:
+		return siteResult{err: fmt.Errorf("site %d: %s", i, r.payload), appErr: true}
+	case r.kind != kindAnswer && r.kind != kindTracedAnswer:
+		return siteResult{err: fmt.Errorf("site %d: unexpected frame kind %q", i, r.kind), appErr: true}
+	case len(r.payload) < answerPrefix:
+		return siteResult{err: fmt.Errorf("site %d: answer of %d bytes lacks the state tag", i, len(r.payload)), appErr: true}
+	}
+	res := siteResult{
+		payload: r.payload[answerPrefix:],
+		epoch:   binary.LittleEndian.Uint64(r.payload),
+		lsn:     binary.LittleEndian.Uint64(r.payload[8:]),
+	}
+	if r.kind == kindTracedAnswer {
+		spans, body, err := decodeTracedAnswer(res.payload)
+		if err != nil {
+			return siteResult{err: fmt.Errorf("site %d: %w", i, err), appErr: true}
+		}
+		res.spans, res.payload = spans, body
+	}
+	c.noteSiteLSN(i, res.lsn)
+	return res
 }
 
 // kindLabel names a query kind for audit rounds and metric labels.
@@ -702,165 +701,58 @@ func kindLabel(kind byte) string {
 	}
 }
 
-// evalDurNs extracts the site's "eval" span duration from a traced reply.
-func evalDurNs(spans []obs.WireSpan) int64 {
-	for i := range spans {
-		if spans[i].Name == "eval" {
-			return int64(spans[i].DurNs)
-		}
-	}
-	return 0
-}
-
-// auditRound reports one settled attempt's per-site observations to the
-// auditor, when one is attached and the round is a query round (the only
-// rounds the paper's guarantees speak about). results carry the answer
-// body lengths — the response data volume the c·(|Vf|+1)² bound is about,
-// excluding frame headers and piggybacked span sections.
-func (c *Coordinator) auditRound(kind byte, results []siteResult) {
-	a := c.getAuditor()
-	if a == nil || !tracedKind(kind) {
-		return
-	}
-	r := obs.AuditRound{
-		Query:     kindLabel(kind),
-		Frames:    make([]int64, len(results)),
-		RespBytes: make([]int64, len(results)),
-		EvalNs:    make([]int64, len(results)),
-	}
-	for i := range results {
-		if results[i].err == nil {
-			r.Frames[i] = 1
-			r.RespBytes[i] = int64(len(results[i].payload))
-			r.EvalNs[i] = results[i].evalNs
-		}
-	}
-	a.Observe(r)
-}
-
-// roundtripAll posts one frame to every site in parallel and collects one
-// response from each, reporting per-site outcomes: callers that can
-// tolerate individual failures (sequenced updates, whose log re-delivers
-// to laggards) inspect the slice; roundtrip wraps it for all-or-nothing
-// callers. Concurrent rounds interleave freely: each draws a fresh
-// request ID and waits only on its own replies. A context deadline or
-// cancellation abandons the round promptly.
-//
-// With qt non-nil (and kind a query kind), the frame ships inside a 'T'
-// trace envelope naming a per-site rpc span, sites answer 't' frames
-// carrying their recorded spans, and the spans are grafted into qt's
-// trace anchored at this coordinator's post instant — no site wall clock
-// is ever trusted. Settled query rounds are also reported to the
-// guarantee auditor when one is attached.
-func (c *Coordinator) roundtripAll(ctx context.Context, kind byte, payload []byte, qt *qtrace) ([]siteResult, WireStats) {
+// roundtripAll posts one frame to every site and collects one response
+// from each, reporting per-site outcomes. It serves the control rounds —
+// updates, rebalances and sync hellos — whose callers inspect the slice
+// (sequenced updates tolerate individual failures: the log re-delivers to
+// laggards); query rounds go through queryRound. Concurrent rounds
+// interleave freely: each draws a fresh request ID and waits only on its
+// own replies. A context deadline or cancellation abandons the round
+// promptly.
+func (c *Coordinator) roundtripAll(ctx context.Context, kind byte, payload []byte) ([]siteResult, WireStats) {
 	id := c.nextID.Add(1)
 	start := time.Now()
 	results := make([]siteResult, len(c.conns))
-	var sent, recv, fsent, frecv atomic.Int64
-	if qt != nil && !tracedKind(kind) {
-		qt = nil
-	}
-	var wg sync.WaitGroup
+	replies := make(chan wireReply, len(c.conns)) // one reply per site
+	waiting := make([]bool, len(c.conns))
+	var st WireStats
+	left := 0
 	for i, sc := range c.conns {
-		wg.Add(1)
-		go func(i int, sc *siteConn) {
-			defer wg.Done()
-			res := &results[i]
-			wireKind, wirePayload := kind, payload
-			var rpcID uint64
-			if qt != nil {
-				rpcID = qt.b.StartSpan(qt.par, "rpc", obs.Attr{Key: "site", Val: strconv.Itoa(i)})
-				wireKind = kindTraced
-				wirePayload = encodeTraced(qt.id, rpcID, kind, payload)
-				defer qt.b.End(rpcID)
-			}
-			anchor := time.Now()
-			ch, n, err := sc.post(id, wireKind, wirePayload)
-			if err != nil {
-				res.err = fmt.Errorf("site %d: %w", i, err)
-				return
-			}
-			sent.Add(int64(n))
-			fsent.Add(1)
-			var r wireReply
-			var ok bool
-			select {
-			case r, ok = <-ch:
-			case <-ctx.Done():
-				sc.drop(id)
-				res.err = fmt.Errorf("site %d: %w", i, ctx.Err())
-				return
-			}
-			if !ok {
-				err := sc.lastErr()
-				if err == nil {
-					err = fmt.Errorf("connection closed")
-				}
-				res.err = fmt.Errorf("site %d: %w", i, err)
-				return
-			}
-			switch r.kind {
-			case kindAnswer, kindTracedAnswer:
-				if len(r.payload) < answerPrefix {
-					res.err = fmt.Errorf("site %d: answer of %d bytes lacks the state tag", i, len(r.payload))
-					res.appErr = true
-					return
-				}
-				body := r.payload[answerPrefix:]
-				if r.kind == kindTracedAnswer {
-					spans, rest, derr := decodeTracedAnswer(body)
-					if derr != nil {
-						res.err = fmt.Errorf("site %d: %w", i, derr)
-						res.appErr = true
-						return
-					}
-					if qt != nil {
-						qt.b.AttachRemote(rpcID, i, anchor, spans)
-					}
-					res.evalNs = evalDurNs(spans)
-					body = rest
-				}
-				recv.Add(int64(r.n))
-				frecv.Add(1)
-				res.epoch = binary.LittleEndian.Uint64(r.payload)
-				res.lsn = binary.LittleEndian.Uint64(r.payload[8:])
-				res.payload = body
-				c.noteSiteLSN(i, res.lsn)
-			case kindError:
-				res.err = fmt.Errorf("site %d: %s", i, r.payload)
-				res.appErr = true
-			default:
-				res.err = fmt.Errorf("site %d: unexpected frame kind %q", i, r.kind)
-				res.appErr = true
-			}
-		}(i, sc)
-	}
-	wg.Wait()
-	st := WireStats{
-		BytesSent:      sent.Load(),
-		BytesReceived:  recv.Load(),
-		FramesSent:     fsent.Load(),
-		FramesReceived: frecv.Load(),
-		RoundTrip:      time.Since(start),
-	}
-	c.auditRound(kind, results)
-	return results, st
-}
-
-// roundtrip is roundtripAll for all-or-nothing callers: the first site
-// error fails the round.
-func (c *Coordinator) roundtrip(ctx context.Context, kind byte, payload []byte, qt *qtrace) ([][]byte, []uint64, []uint64, WireStats, error) {
-	results, st := c.roundtripAll(ctx, kind, payload, qt)
-	replies := make([][]byte, len(results))
-	epochs := make([]uint64, len(results))
-	lsns := make([]uint64, len(results))
-	for i, r := range results {
-		if r.err != nil {
-			return nil, nil, nil, st, r.err
+		n, err := sc.post(id, kind, payload, replies)
+		if err != nil {
+			results[i].err = fmt.Errorf("site %d: %w", i, err)
+			continue
 		}
-		replies[i], epochs[i], lsns[i] = r.payload, r.epoch, r.lsn
+		st.BytesSent += int64(n)
+		st.FramesSent++
+		waiting[i] = true
+		left++
 	}
-	return replies, epochs, lsns, st, nil
+	for left > 0 {
+		select {
+		case r := <-replies:
+			if !waiting[r.site] {
+				continue // a lost notice racing that site's failed post
+			}
+			waiting[r.site] = false
+			left--
+			if !r.lost {
+				st.BytesReceived += int64(r.n)
+				st.FramesReceived++
+			}
+			results[r.site] = c.result(r)
+		case <-ctx.Done():
+			for i, sc := range c.conns {
+				if waiting[i] {
+					sc.drop(id)
+					results[i].err = fmt.Errorf("site %d: %w", i, ctx.Err())
+				}
+			}
+			left = 0
+		}
+	}
+	st.RoundTrip = time.Since(start)
+	return results, st
 }
 
 // postOne posts one frame to a single site and waits for its response —
@@ -872,7 +764,8 @@ func (c *Coordinator) postOne(ctx context.Context, site int, kind byte, payload 
 	}
 	sc := c.conns[site]
 	id := c.nextID.Add(1)
-	ch, n, err := sc.post(id, kind, payload)
+	reply := make(chan wireReply, 1)
+	n, err := sc.post(id, kind, payload, reply)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("site %d: %w", site, err)
 	}
@@ -881,99 +774,18 @@ func (c *Coordinator) postOne(ctx context.Context, site int, kind byte, payload 
 		st.FramesSent++
 	}
 	var r wireReply
-	var ok bool
 	select {
-	case r, ok = <-ch:
+	case r = <-reply:
 	case <-ctx.Done():
 		sc.drop(id)
 		return nil, 0, 0, fmt.Errorf("site %d: %w", site, ctx.Err())
 	}
-	if !ok {
-		err := sc.lastErr()
-		if err == nil {
-			err = fmt.Errorf("connection closed")
-		}
-		return nil, 0, 0, fmt.Errorf("site %d: %w", site, err)
+	if st != nil && !r.lost {
+		st.BytesReceived += int64(r.n)
+		st.FramesReceived++
 	}
-	switch r.kind {
-	case kindAnswer:
-		if len(r.payload) < answerPrefix {
-			return nil, 0, 0, fmt.Errorf("site %d: answer of %d bytes lacks the state tag", site, len(r.payload))
-		}
-		if st != nil {
-			st.BytesReceived += int64(r.n)
-			st.FramesReceived++
-		}
-		epoch = binary.LittleEndian.Uint64(r.payload)
-		lsn = binary.LittleEndian.Uint64(r.payload[8:])
-		c.noteSiteLSN(site, lsn)
-		return r.payload[answerPrefix:], epoch, lsn, nil
-	case kindError:
-		return nil, 0, 0, fmt.Errorf("site %d: %s", site, r.payload)
-	default:
-		return nil, 0, 0, fmt.Errorf("site %d: unexpected frame kind %q", site, r.kind)
-	}
-}
-
-// Epoch-split retry tuning: how often a query round is retried when its
-// sites answered from different states, and the backoff between attempts.
-// The backoff matters: an immediate retry lands inside the same rebalance
-// or update burst that split the round, while a short exponential pause
-// lets the new state finish propagating to every site's worker.
-const (
-	epochRetries      = 8
-	epochRetryBackoff = time.Millisecond
-)
-
-// queryRound is roundtrip for query kinds: it additionally enforces that
-// every site answered from the same deployment state — epoch and
-// update-log LSN — retrying the round otherwise. Partial answers are
-// Boolean equations over the fragmentation and graph the site evaluated
-// on; composing them across two fragmentations (or across an update that
-// landed on only some replicas) would be meaningless, so a round that
-// straddles a live rebalance or update broadcast is thrown away and
-// re-posted against the settled deployment.
-func (c *Coordinator) queryRound(ctx context.Context, kind byte, payload []byte, qt *qtrace) ([][]byte, WireStats, error) {
-	var total WireStats
-	backoff := epochRetryBackoff
-	for attempt := 0; ; attempt++ {
-		rqt := qt
-		if qt != nil {
-			roundID := qt.b.StartSpan(qt.par, "round", obs.Attr{Key: "attempt", Val: strconv.Itoa(attempt)})
-			rqt = qt.child(roundID)
-		}
-		replies, epochs, lsns, st, err := c.roundtrip(ctx, kind, payload, rqt)
-		if qt != nil {
-			qt.b.End(rqt.par)
-		}
-		total.add(st)
-		if err != nil {
-			return nil, total, err
-		}
-		split := false
-		for i := 1; i < len(epochs); i++ {
-			if epochs[i] != epochs[0] || lsns[i] != lsns[0] {
-				split = true
-				break
-			}
-		}
-		if !split {
-			total.Epoch, total.LSN = 0, 0
-			if len(epochs) > 0 {
-				total.Epoch, total.LSN = epochs[0], lsns[0]
-			}
-			return replies, total, nil
-		}
-		if attempt+1 >= epochRetries {
-			return nil, total, fmt.Errorf("%w (epochs %v, lsns %v after %d attempts)", ErrEpochSplit, epochs, lsns, attempt+1)
-		}
-		select {
-		case <-ctx.Done():
-			return nil, total, ctx.Err()
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
+	res := c.result(r)
+	return res.payload, res.epoch, res.lsn, res.err
 }
 
 // Reach evaluates qr(s, t) over the connected sites.
@@ -981,47 +793,72 @@ func (c *Coordinator) Reach(s, t graph.NodeID) (bool, WireStats, error) {
 	return c.ReachContext(context.Background(), s, t)
 }
 
-// ReachContext is Reach honoring a context deadline or cancellation. With
-// anytime enabled (the default) the round streams partial replies and may
-// return the moment they prove the answer true, cancelling the remaining
-// sites; see SetAnytime.
+// ReachContext is Reach honoring a context deadline or cancellation. Each
+// site's final answer is fed into an incremental equation system as it
+// arrives; with anytime on (the default) the round returns the moment the
+// answers so far prove s⇝t, cancelling the remaining sites (see
+// SetAnytime). A false answer needs every site's equations.
 func (c *Coordinator) ReachContext(ctx context.Context, s, t graph.NodeID) (bool, WireStats, error) {
 	if s == t {
 		return true, WireStats{}, nil
 	}
 	qt := c.newQueryTrace("reach")
-	if c.anytime.Load() {
-		ok, st, err := c.reachAnytime(ctx, s, t, qt)
-		c.finishTrace(qt, &st, err)
-		return ok, st, err
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint32(payload, uint32(s))
-	binary.LittleEndian.PutUint32(payload[4:], uint32(t))
-	replies, st, err := c.queryRound(ctx, kindReach, payload, qt)
+	var sys *bes.System[graph.NodeID]
+	var partials []*core.ReachPartial
+	st, err := c.queryRound(ctx, kindReach, encodeReachRequest(s, t), qt, func() roundSink {
+		sys, partials = bes.New[graph.NodeID](), make([]*core.ReachPartial, len(c.conns))
+		return func(site int, body []byte) (bool, error) {
+			rv := new(core.ReachPartial)
+			if err := rv.UnmarshalBinary(body); err != nil {
+				return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
+			}
+			partials[site] = rv
+			rv.AddToSystem(sys)
+			return sys.Decide(s), nil
+		}
+	})
 	if err != nil {
 		c.finishTrace(qt, &st, err)
 		return false, st, err
 	}
 	solveStart := time.Now()
-	partials := make([]*core.ReachPartial, len(replies))
-	for i, resp := range replies {
-		partials[i] = new(core.ReachPartial)
-		if err := partials[i].UnmarshalBinary(resp); err != nil {
-			err = fmt.Errorf("netsite: site %d reply: %w", i, err)
-			c.finishTrace(qt, &st, err)
-			return false, st, err
+	// Touched stays sound for an early true: flipping the answer to false
+	// requires breaking every path, in particular the certificate chain
+	// inside the received equations — whose fragments are exactly the
+	// dependency closure computed here.
+	st.Touched = core.TouchedReach(partials, s)
+	ok := sys.Decide(s)
+	c.finishSolve(qt, &st, solveStart, ok)
+	return ok, st, nil
+}
+
+// finishSolve records the post-round solve span (answer attached) and
+// completes the query's trace.
+func (c *Coordinator) finishSolve(qt *qtrace, st *WireStats, start time.Time, answer bool) {
+	if qt != nil {
+		qt.b.AddSpan(qt.b.Root(), "solve", start, time.Since(start),
+			obs.Attr{Key: "answer", Val: strconv.FormatBool(answer)})
+	}
+	c.finishTrace(qt, st, nil)
+}
+
+// collect is the round sink of query classes that decide only once every
+// site has answered: it decodes each site's final into (*out)[site].
+func collect[T any, P interface {
+	*T
+	UnmarshalBinary([]byte) error
+}](n int, out *[]P) func() roundSink {
+	return func() roundSink {
+		*out = make([]P, n)
+		return func(site int, body []byte) (bool, error) {
+			p := P(new(T))
+			if err := p.UnmarshalBinary(body); err != nil {
+				return false, fmt.Errorf("netsite: site %d reply: %w", site, err)
+			}
+			(*out)[site] = p
+			return false, nil
 		}
 	}
-	st.FirstAnswer = st.RoundTrip
-	st.Touched = core.TouchedReach(partials, s)
-	ok := core.SolveReach(partials, s)
-	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart),
-			obs.Attr{Key: "answer", Val: strconv.FormatBool(ok)})
-	}
-	c.finishTrace(qt, &st, nil)
-	return ok, st, nil
 }
 
 // ReachWithin evaluates qbr(s, t, l); it returns the answer and the exact
@@ -1044,29 +881,16 @@ func (c *Coordinator) ReachWithinContext(ctx context.Context, s, t graph.NodeID,
 	binary.LittleEndian.PutUint32(payload, uint32(s))
 	binary.LittleEndian.PutUint32(payload[4:], uint32(t))
 	binary.LittleEndian.PutUint32(payload[8:], uint32(l))
-	replies, st, err := c.queryRound(ctx, kindDist, payload, qt)
+	var partials []*core.DistPartial
+	st, err := c.queryRound(ctx, kindDist, payload, qt, collect(len(c.conns), &partials))
 	if err != nil {
 		c.finishTrace(qt, &st, err)
 		return false, bes.Inf, st, err
 	}
 	solveStart := time.Now()
-	partials := make([]*core.DistPartial, len(replies))
-	for i, resp := range replies {
-		partials[i] = new(core.DistPartial)
-		if err := partials[i].UnmarshalBinary(resp); err != nil {
-			err = fmt.Errorf("netsite: site %d reply: %w", i, err)
-			c.finishTrace(qt, &st, err)
-			return false, bes.Inf, st, err
-		}
-	}
-	st.FirstAnswer = st.RoundTrip
 	st.Touched = core.TouchedDist(partials, s)
 	d := core.SolveDist(partials, s)
-	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart),
-			obs.Attr{Key: "answer", Val: strconv.FormatBool(d <= int64(l))})
-	}
-	c.finishTrace(qt, &st, nil)
+	c.finishSolve(qt, &st, solveStart, d <= int64(l))
 	return d <= int64(l), d, st, nil
 }
 
@@ -1090,28 +914,15 @@ func (c *Coordinator) ReachRegexContext(ctx context.Context, s, t graph.NodeID, 
 	binary.LittleEndian.PutUint32(payload, uint32(s))
 	binary.LittleEndian.PutUint32(payload[4:], uint32(t))
 	payload = append(payload, ab...)
-	replies, st, err := c.queryRound(ctx, kindRPQ, payload, qt)
+	var partials []*core.RPQPartial
+	st, err := c.queryRound(ctx, kindRPQ, payload, qt, collect(len(c.conns), &partials))
 	if err != nil {
 		c.finishTrace(qt, &st, err)
 		return false, st, err
 	}
 	solveStart := time.Now()
-	partials := make([]*core.RPQPartial, len(replies))
-	for i, resp := range replies {
-		partials[i] = new(core.RPQPartial)
-		if err := partials[i].UnmarshalBinary(resp); err != nil {
-			err = fmt.Errorf("netsite: site %d reply: %w", i, err)
-			c.finishTrace(qt, &st, err)
-			return false, st, err
-		}
-	}
-	st.FirstAnswer = st.RoundTrip
 	st.Touched = core.TouchedRPQ(partials, s, a.NumStates())
 	ok := core.SolveRPQ(partials, s, a)
-	if qt != nil {
-		qt.b.AddSpan(qt.b.Root(), "solve", solveStart, time.Since(solveStart),
-			obs.Attr{Key: "answer", Val: strconv.FormatBool(ok)})
-	}
-	c.finishTrace(qt, &st, nil)
+	c.finishSolve(qt, &st, solveStart, ok)
 	return ok, st, nil
 }

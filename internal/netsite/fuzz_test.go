@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"distreach/internal/automaton"
-	"distreach/internal/core"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
@@ -82,12 +81,12 @@ func FuzzBatchPayload(f *testing.F) {
 		{Class: ClassReach, S: 1, T: 2},
 		{Class: ClassDist, S: 3, T: 4, L: 6},
 		{Class: ClassRPQ, S: 5, T: 6, A: a},
-	}, batchFlagStream)
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	empty, err := encodeBatchRequest(nil, 0)
+	empty, err := encodeBatchRequest(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -98,17 +97,14 @@ func FuzzBatchPayload(f *testing.F) {
 	f.Add(seed[:len(seed)-3])                              // truncated query
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if qs, flags, err := decodeBatchRequest(data); err == nil {
-			re, err := encodeBatchRequest(qs, flags)
+		if qs, err := decodeBatchRequest(data); err == nil {
+			re, err := encodeBatchRequest(qs)
 			if err != nil {
 				t.Fatalf("re-encode of a decoded batch failed: %v", err)
 			}
-			qs2, flags2, err := decodeBatchRequest(re)
+			qs2, err := decodeBatchRequest(re)
 			if err != nil {
 				t.Fatalf("decode of a re-encoded batch failed: %v", err)
-			}
-			if flags2 != flags {
-				t.Fatalf("batch flags drifted: %#x then %#x", flags, flags2)
 			}
 			if len(qs2) != len(qs) {
 				t.Fatalf("batch round trip drifted: %d then %d queries", len(qs), len(qs2))
@@ -143,49 +139,41 @@ func FuzzBatchPayload(f *testing.F) {
 	})
 }
 
-// FuzzAnytimePayload throws arbitrary bytes at the anytime codecs: the
-// streaming reach request (flags byte) and the batch partial chunk
-// (target + nested equation chunk). Whatever decodes must survive a
-// re-encode round trip semantically; the rest must error, never panic.
+// FuzzAnytimePayload throws arbitrary bytes at the query-round request
+// codecs the one-frame protocol pins down: a reach request is exactly 8
+// bytes (s, t) — a 9th byte, the retired stream flag, is rejected — and a
+// batch request's flags byte must be 0. Whatever decodes must re-encode
+// to the same bytes; the rest must error, never panic.
 func FuzzAnytimePayload(f *testing.F) {
-	f.Add(encodeReachRequest(1, 2, false))
-	f.Add(encodeReachRequest(3, 4, true))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xFF}) // unknown flag bits
-	// A real equation chunk: evaluate a tiny fragment and wrap its partial.
-	g := gen.Uniform(gen.Config{Nodes: 10, Edges: 25, Labels: []string{"A"}, Seed: 5})
-	fr, err := fragment.Random(g, 2, 5)
+	f.Add(encodeReachRequest(1, 2))
+	f.Add(append(encodeReachRequest(3, 4), 1))    // 9 bytes: old stream flag
+	f.Add(append(encodeReachRequest(3, 4), 0xFF)) // 9 bytes: unknown flags
+	f.Add(encodeReachRequest(5, 6)[:7])           // truncated
+	batch, err := encodeBatchRequest([]BatchQuery{{Class: ClassReach, S: 1, T: 2}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	rv := core.LocalEvalReach(fr.Fragments()[0], 0, 7, nil)
-	rb, err := rv.MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(encodeBatchChunk(7, rb))
-	f.Add(encodeBatchChunk(7, rb)[:3]) // truncated target
-	f.Add(encodeBatchChunk(7, nil))    // empty chunk body
+	f.Add(batch)
+	streamed := append([]byte{}, batch...)
+	streamed[1] = 1 // the retired batch stream flag
+	f.Add(streamed)
+	streamed = append([]byte{}, batch...)
+	streamed[1] = 0x80
+	f.Add(streamed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if s, tt, stream, err := decodeReachRequest(data); err == nil {
-			s2, t2, stream2, err := decodeReachRequest(encodeReachRequest(s, tt, stream))
-			if err != nil || s2 != s || t2 != tt || stream2 != stream {
-				t.Fatalf("reach request round trip drifted: (%d,%d,%v) -> (%d,%d,%v), %v",
-					s, tt, stream, s2, t2, stream2, err)
-			}
+		s, tt, err := decodeReachRequest(data)
+		switch {
+		case len(data) != 8 && err == nil:
+			t.Fatalf("accepted a %d-byte reach request", len(data))
+		case len(data) == 8 && err != nil:
+			t.Fatalf("rejected an 8-byte reach request: %v", err)
+		case err == nil && !bytes.Equal(encodeReachRequest(s, tt), data):
+			t.Fatalf("reach request round trip drifted: (%d,%d)", s, tt)
 		}
-		if tgt, chunk, err := decodeBatchChunk(data); err == nil {
-			cb, err := chunk.MarshalBinary()
-			if err != nil {
-				t.Fatalf("re-marshal of a decoded chunk failed: %v", err)
-			}
-			tgt2, chunk2, err := decodeBatchChunk(encodeBatchChunk(tgt, cb))
-			if err != nil || tgt2 != tgt {
-				t.Fatalf("batch chunk round trip drifted: target %d -> %d, %v", tgt, tgt2, err)
-			}
-			cb2, err := chunk2.MarshalBinary()
-			if err != nil || !bytes.Equal(cb2, cb) {
-				t.Fatalf("batch chunk equations drifted on round trip: %v", err)
+		if len(data) >= 2 && data[0] == batchVersion && data[1] != 0 {
+			if _, err := decodeBatchRequest(data); err == nil {
+				t.Fatalf("accepted batch flags %#x", data[1])
 			}
 		}
 	})

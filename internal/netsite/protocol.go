@@ -30,25 +30,19 @@
 //	               request kind; for 'B', one partial per batched query;
 //	               for 'U', the changed flag, dirtied fragment IDs, new
 //	               node IDs and balance stats), 'E' error,
-//	               'P' partial: epoch u64 | lsn u64 | a chunk of boolean
-//	               equations streamed ahead of the final answer frame,
 //	               't' traced answer: epoch u64 | lsn u64 | spans | body —
 //	               the site's recorded spans (queue wait, lock wait, local
-//	               eval with its reachindex outcome, partial emissions)
-//	               piggybacked between the state tag and the normal answer
-//	               body, so tracing adds zero extra frames
+//	               eval with its reachindex outcome) piggybacked between the
+//	               state tag and the normal answer body, so tracing adds
+//	               zero extra frames
 //
-// Anytime answers: a query or batch posted with its stream flag set (see
-// encodeReachRequest and the batch request flags byte) invites the site to
-// emit up to core.MaxStreamChunks 'P' frames per request while local
-// evaluation runs, each carrying the equations produced since the last.
-// The final 'R' frame still carries the complete partial — chunks are a
-// redundant prefix, sound to re-add because disjunctive equation systems
-// are idempotent — so a dropped or unsupported partial never affects the
-// answer. The coordinator feeds chunks into an incremental equation system
-// and, the moment they prove the query true, broadcasts 'C' frames so the
-// remaining sites abandon their evaluation (cooperatively: mid-BFS
-// checkpoints, and a cancelled request owes no response at all).
+// One round, one final frame per site: every request gets at most one
+// response frame, which carries the site's complete partial answer. The
+// coordinator feeds each reach answer into an incremental equation system
+// as it arrives and, the moment the answers so far prove the query true,
+// broadcasts 'C' frames so the remaining sites abandon their evaluation
+// (cooperatively: mid-BFS checkpoints, and a cancelled request owes no
+// response at all). See round.go.
 //
 // A response frame echoes the ID of the request it answers, and every
 // answer is prefixed with the epoch of the fragmentation that produced it
@@ -88,7 +82,6 @@ const (
 	kindTraced    = 'T'
 	kindAnswer    = 'R'
 	kindError     = 'E'
-	kindPartial   = 'P'
 	// kindTracedAnswer mirrors kindAnswer with the site's recorded spans
 	// spliced in after the (epoch, lsn) tag: the first answerPrefix bytes
 	// stay identical to an 'R' frame so state-tag parsing is uniform.

@@ -3,14 +3,18 @@ package netsite
 import (
 	"context"
 	"errors"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"distreach/internal/automaton"
 	"distreach/internal/fragment"
 	"distreach/internal/gen"
 	"distreach/internal/graph"
+	"distreach/internal/obs"
+	"distreach/internal/rx"
 )
 
 // stragglerDeployment builds the two-component skew topology the anytime
@@ -102,8 +106,8 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 	if st.FirstAnswer >= slow-50*time.Millisecond {
 		t.Fatalf("first answer took %v, straggler delay is %v — no early win", st.FirstAnswer, slow)
 	}
-	if st.PartialFrames < 1 {
-		t.Fatalf("no partial frames on an early-terminated round: %+v", st)
+	if st.FramesSent != 3 || st.FramesReceived != 2 {
+		t.Fatalf("early round must post one frame per site and be decided by the two fast finals: %+v", st)
 	}
 	if st.CancelFrames < 1 {
 		t.Fatalf("early termination must cancel the straggler: %+v", st)
@@ -147,7 +151,7 @@ func TestAnytimeEarlyTermination(t *testing.T) {
 	}
 
 	as := co.AnytimeStats()
-	if as.EarlyTerminations < 2 || as.CancelsSent < 1 || as.PartialFrames < 1 {
+	if as.EarlyTerminations < 2 || as.CancelsSent < 1 {
 		t.Fatalf("anytime counters not accumulating: %+v", as)
 	}
 	if len(as.Stragglers) != 3 || as.Stragglers[2] < 1 {
@@ -403,5 +407,166 @@ func TestAnytimePendingNoLeak(t *testing.T) {
 	}
 	if n := countGoroutines(t, before+2); n > before+2 {
 		t.Fatalf("goroutines leaked: %d before, %d after shutdown", before, n)
+	}
+}
+
+// frameTap relays one coordinator↔site connection at a time and counts,
+// per request ID, the query frames the coordinator sent (cancel frames
+// apart) and the frames the site answered with — the wire-level view of
+// the one-frame-per-site round.
+type frameTap struct {
+	ln     net.Listener
+	target string
+
+	mu       sync.Mutex
+	requests map[uint32]int
+	cancels  map[uint32]int
+	replies  map[uint32]int
+}
+
+func newFrameTap(t *testing.T, target string) *frameTap {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := &frameTap{ln: ln, target: target,
+		requests: map[uint32]int{}, cancels: map[uint32]int{}, replies: map[uint32]int{}}
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			go tp.relay(in, out, true)
+			go tp.relay(out, in, false)
+		}
+	}()
+	return tp
+}
+
+// relay copies whole frames from src to dst, counting them by request ID.
+func (tp *frameTap) relay(src, dst net.Conn, toSite bool) {
+	defer src.Close()
+	defer dst.Close()
+	for {
+		id, kind, payload, _, err := readFrame(src)
+		if err != nil {
+			return
+		}
+		tp.mu.Lock()
+		switch {
+		case !toSite:
+			tp.replies[id]++
+		case kind == kindCancel:
+			tp.cancels[id]++
+		default:
+			tp.requests[id]++
+		}
+		tp.mu.Unlock()
+		if _, err := writeFrame(dst, id, kind, payload); err != nil {
+			return
+		}
+	}
+}
+
+// TestOneFramePerSitePerRound pins the protocol invariant on the wire:
+// every query round — early-terminated or full, single or batch, every
+// query class, traced or not, anytime on or off — posts exactly one
+// request frame to each site and gets at most one frame back from each
+// site for its request ID.
+func TestOneFramePerSitePerRound(t *testing.T) {
+	const slow = 60 * time.Millisecond
+	fr, a0, b0 := stragglerDeployment(t, 12, 4)
+	sites, addrs := serveSkewed(t, fr, []time.Duration{0, 0, slow})
+	defer func() {
+		for _, s := range sites {
+			s.Close()
+		}
+	}()
+	taps := make([]*frameTap, len(addrs))
+	tapAddrs := make([]string, len(addrs))
+	for i, a := range addrs {
+		taps[i] = newFrameTap(t, a)
+		defer taps[i].ln.Close()
+		tapAddrs[i] = taps[i].ln.Addr().String()
+	}
+	co, err := Dial(tapAddrs, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+
+	aut := automaton.FromRegex(rx.MustParse("A*"))
+	early := 0
+	for pass := 0; pass < 4; pass++ {
+		co.SetAnytime(pass%2 == 0)
+		if pass >= 2 {
+			co.SetTraceSink(func(*obs.Trace) {})
+		}
+		check := func(what string, st WireStats, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("pass %d %s: %v", pass, what, err)
+			}
+			if st.FramesSent != 3 || st.FramesReceived > 3 {
+				t.Fatalf("pass %d %s: %d frames sent, %d received for 3 sites", pass, what, st.FramesSent, st.FramesReceived)
+			}
+			if st.EarlyTerminated {
+				early++
+			}
+		}
+		_, st, err := co.Reach(a0, a0+11) // true on the fast sites: early with anytime on
+		check("reach true", st, err)
+		_, st, err = co.Reach(a0+11, a0) // false: a full round
+		check("reach false", st, err)
+		_, _, st, err = co.ReachWithin(a0, a0+3, 5)
+		check("dist", st, err)
+		_, st, err = co.ReachRegex(a0, a0+4, aut)
+		check("rpq", st, err)
+		_, st, err = co.Batch([]BatchQuery{
+			{Class: ClassReach, S: a0, T: a0 + 5},
+			{Class: ClassReach, S: a0 + 1, T: a0 + 7},
+		})
+		check("all-true batch", st, err)
+		_, st, err = co.Batch([]BatchQuery{
+			{Class: ClassReach, S: a0, T: b0},
+			{Class: ClassDist, S: a0, T: a0 + 2, L: 4},
+			{Class: ClassRPQ, S: a0, T: a0 + 1, A: aut},
+		})
+		check("mixed batch", st, err)
+	}
+	if early == 0 {
+		t.Fatal("no round terminated early; the early path went unchecked")
+	}
+
+	// Let cancelled stragglers settle: whatever they still send must be
+	// relayed before the counts are read.
+	time.Sleep(3 * slow)
+	waitPendingDrained(t, co)
+	for i, tp := range taps {
+		tp.mu.Lock()
+		if len(tp.requests) != 24 {
+			t.Errorf("site %d saw %d query rounds, want 24", i, len(tp.requests))
+		}
+		for id, n := range tp.requests {
+			if n != 1 {
+				t.Errorf("site %d: request %d posted %d times", i, id, n)
+			}
+		}
+		for id, n := range tp.replies {
+			if n > 1 {
+				t.Errorf("site %d: request %d answered with %d frames", i, id, n)
+			}
+			if tp.requests[id] == 0 {
+				t.Errorf("site %d: reply for unknown request %d", i, id)
+			}
+		}
+		tp.mu.Unlock()
 	}
 }

@@ -281,8 +281,8 @@ func (c *connCancels) remove(id uint32) {
 // frame that echoes the request ID and carries the epoch and update-log
 // LSN the frame was served at. Responses go out in completion order; the
 // coordinator's demultiplexer reorders by ID. Cancel frames are handled by
-// the reader itself (never queued), and streaming queries may emit 'P'
-// frames ahead of their final answer through the same write mutex.
+// the reader itself (never queued). Every request gets at most one
+// response frame; a cancelled one gets none.
 func (s *Site) serveConn(conn net.Conn) error {
 	jobs := make(chan frameJob)
 	cancels := connCancels{m: make(map[uint32]*atomic.Bool)}
@@ -315,30 +315,7 @@ func (s *Site) serveConn(conn net.Conn) error {
 					s.met.frames.With(kindLabel(j.kind)).Inc()
 					s.met.queue.Observe(time.Since(j.recv).Seconds())
 				}
-				emit := func(epoch, lsn uint64, body []byte) bool {
-					if broken.Load() || (j.cancel != nil && j.cancel.Load()) {
-						return false
-					}
-					tagged := make([]byte, answerPrefix, answerPrefix+len(body))
-					binary.LittleEndian.PutUint64(tagged, epoch)
-					binary.LittleEndian.PutUint64(tagged[8:], lsn)
-					tagged = append(tagged, body...)
-					wstart := time.Now()
-					wmu.Lock()
-					_, werr := writeFrame(conn, j.id, kindPartial, tagged)
-					wmu.Unlock()
-					if werr != nil {
-						broken.Store(true)
-						conn.Close()
-						return false
-					}
-					if j.rec != nil {
-						j.rec.Span(-1, "partial", wstart, time.Now(),
-							obs.Attr{Key: "bytes", Val: strconv.Itoa(len(body))})
-					}
-					return true
-				}
-				epoch, lsn, resp, err := s.handle(j, emit)
+				epoch, lsn, resp, err := s.handle(j)
 				if j.cancel != nil {
 					cancels.remove(j.id)
 				}
@@ -450,12 +427,9 @@ func (s *Site) snapshot() (*fragment.Fragment, *fragment.Fragmentation, uint64, 
 	return fr.Fragments()[s.fragID], fr, epoch, lsn
 }
 
-// handle evaluates one request frame. emit, when non-nil, writes a 'P'
-// frame carrying body under the given state tag; streaming queries use it
-// to surface equation chunks ahead of the final answer. A request whose
-// cancel flag fires mid-evaluation returns errCancelled: no response frame
-// is written for it.
-func (s *Site) handle(j frameJob, emit func(epoch, lsn uint64, body []byte) bool) (uint64, uint64, []byte, error) {
+// handle evaluates one request frame. A request whose cancel flag fires
+// mid-evaluation returns errCancelled: no response frame is written for it.
+func (s *Site) handle(j frameJob) (uint64, uint64, []byte, error) {
 	kind, payload := j.kind, j.payload
 	if !s.pause(j.cancel) {
 		return 0, 0, nil, errCancelled
@@ -511,24 +485,12 @@ func (s *Site) handle(j frameJob, emit func(epoch, lsn uint64, body []byte) bool
 	}
 	switch kind {
 	case kindReach:
-		src, dst, stream, err := decodeReachRequest(payload)
+		src, dst, err := decodeReachRequest(payload)
 		if err != nil {
 			return 0, 0, nil, err
 		}
-		var sink func(chunk *core.ReachPartial) bool
-		if stream && emit != nil {
-			sink = func(chunk *core.ReachPartial) bool {
-				b, err := chunk.MarshalBinary()
-				if err != nil {
-					return true // skip the advisory chunk; the final is complete
-				}
-				return emit(epoch, lsn, b)
-			}
-		}
-		rv, ok := core.LocalEvalReachStream(f, src, dst, opt, sink)
-		if !ok {
-			// Cancelled mid-evaluation — or the emit failed, which only
-			// happens on a dead connection, where no response lands anyway.
+		rv := core.LocalEvalReach(f, src, dst, opt)
+		if rv == nil {
 			return 0, 0, nil, errCancelled
 		}
 		b, err := rv.MarshalBinary()
@@ -557,7 +519,7 @@ func (s *Site) handle(j frameJob, emit func(epoch, lsn uint64, body []byte) bool
 		b, err := rv.MarshalBinary()
 		return epoch, lsn, b, err
 	case kindBatch:
-		b, err := s.handleBatch(f, payload, epoch, lsn, opt, j.cancel, emit)
+		b, err := s.handleBatch(f, payload, opt, j.cancel)
 		return epoch, lsn, b, err
 	default:
 		return 0, 0, nil, fmt.Errorf("unknown request kind %q", kind)
@@ -687,35 +649,14 @@ func (s *Site) handleRebalance(payload []byte) (uint64, uint64, []byte, error) {
 // reference — each query's own slot carries only its source equation.
 // Distance and regex queries evaluate individually. The frame's service
 // delay (Site.delay) is paid once per batch, not once per query — the
-// amortization the batch protocol exists to deliver.
-//
-// A streaming batch (batchFlagStream set) additionally emits up to
-// core.MaxStreamChunks 'P' frames, one per reach query as it completes:
-// the query's shared section (the first time its target is seen) merged
-// with its source equation, tagged with the target it answers for. The
-// cancel flag is polled between queries and inside the local evaluations.
-func (s *Site) handleBatch(frag *fragment.Fragment, payload []byte, epoch, lsn uint64, opt *core.Options, cancel *atomic.Bool, emit func(epoch, lsn uint64, body []byte) bool) ([]byte, error) {
-	qs, flags, err := decodeBatchRequest(payload)
+// amortization the batch protocol exists to deliver. The cancel flag is
+// polled between queries and inside the local evaluations.
+func (s *Site) handleBatch(frag *fragment.Fragment, payload []byte, opt *core.Options, cancel *atomic.Bool) ([]byte, error) {
+	qs, err := decodeBatchRequest(payload)
 	if err != nil {
 		return nil, err
 	}
 	cancelled := func() bool { return cancel != nil && cancel.Load() }
-	stream := flags&batchFlagStream != 0 && emit != nil
-	emitted := 0
-	emitChunk := func(t graph.NodeID, rv *core.ReachPartial) {
-		if !stream || emitted >= core.MaxStreamChunks || rv.NumEqs() == 0 {
-			return
-		}
-		b, err := rv.MarshalBinary()
-		if err != nil {
-			return // skip the advisory chunk; the final reply is complete
-		}
-		if emit(epoch, lsn, encodeBatchChunk(t, b)) {
-			emitted++
-		} else {
-			stream = false
-		}
-	}
 	parts := make([][]byte, len(qs))
 	refs := make([]uint32, len(qs))
 	var shared [][]byte
@@ -726,10 +667,9 @@ func (s *Site) handleBatch(frag *fragment.Fragment, payload []byte, epoch, lsn u
 		}
 		switch q.Class {
 		case ClassReach:
-			var base *core.ReachPartial
 			ref, ok := sectionOf[q.T]
 			if !ok {
-				base = core.LocalEvalReach(frag, graph.None, q.T, opt)
+				base := core.LocalEvalReach(frag, graph.None, q.T, opt)
 				if base == nil {
 					return nil, errCancelled
 				}
@@ -750,16 +690,6 @@ func (s *Site) handleBatch(frag *fragment.Fragment, payload []byte, epoch, lsn u
 				if parts[i], err = own.MarshalBinary(); err != nil {
 					return nil, err
 				}
-			}
-			if stream {
-				chunk := new(core.ReachPartial)
-				if base != nil {
-					chunk.Merge(base)
-				}
-				if own != nil {
-					chunk.Merge(own)
-				}
-				emitChunk(q.T, chunk)
 			}
 		case ClassDist:
 			rv := core.LocalEvalDist(frag, q.S, q.T, q.L)

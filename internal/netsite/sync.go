@@ -208,7 +208,7 @@ type replicaState struct {
 // from the accounting entirely.
 func (c *Coordinator) helloAll(ctx context.Context, wire *WireStats) ([]replicaState, error) {
 	states := make([]replicaState, len(c.conns))
-	results, hst := c.roundtripAll(ctx, kindSync, []byte{syncHello}, nil)
+	results, hst := c.roundtripAll(ctx, kindSync, []byte{syncHello})
 	if wire != nil {
 		wire.add(hst)
 	}

@@ -10,8 +10,8 @@ import (
 // Traced-query envelope ('T' request frames) and traced-answer framing
 // ('t' response frames). The envelope is additive: a coordinator that
 // wants a trace wraps the ordinary query payload; everything about the
-// inner query — codec, cancellation, partial streaming, (epoch, LSN)
-// strict rounds — is untouched. Sites that don't know 'T' answer 'E'
+// inner query — codec, cancellation, (epoch, LSN) strict rounds — is
+// untouched. Sites that don't know 'T' answer 'E'
 // for the unknown kind, and the round degrades to untraced.
 
 // tracedHeader is trace ID u64 | parent span ID u64 | inner kind u8.

@@ -19,7 +19,7 @@ import (
 // (the envelope) or semantically (the span section); the rest must error,
 // never panic. Nested envelopes must always be rejected.
 func FuzzTracePayload(f *testing.F) {
-	f.Add(encodeTraced(0xDEADBEEF, 2, kindReach, encodeReachRequest(3, 9, false)))
+	f.Add(encodeTraced(0xDEADBEEF, 2, kindReach, encodeReachRequest(3, 9)))
 	f.Add(encodeTraced(1, 1, kindBatch, nil))
 	f.Add(encodeTraced(7, 3, kindTraced, []byte{1})) // nested envelope
 	f.Add(encodeTraced(7, 3, kindUpdate, nil))       // untraceable kind
